@@ -6,6 +6,8 @@ measured slack, so regressions show up as numbers rather than booleans.
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .distortion import classical_cost_observable, distortion, example_observable
@@ -179,10 +181,7 @@ def check_oracle(n_observables: int = 2, n_grid: int = 3, seed: int = 0,
         d_zero = float((p @ costs).min())
         targets = d_floor + (np.arange(1, n_grid + 1) / (n_grid + 1)) * (d_zero - d_floor)
         solved = minimize_rate_curve(purify(rho), delta, targets, 2,
-                                     SolverOptions(restarts=opts.restarts,
-                                                   max_iterations=opts.max_iterations,
-                                                   convergence_tol=opts.convergence_tol,
-                                                   rng_seed=int(rng.integers(2**31))))
+                                     replace(opts, rng_seed=int(rng.integers(2**31))))
         for target, point in zip(targets, solved):
             oracle = blahut_arimoto(p, costs, float(target))
             gap = abs(point.rate - oracle) if point is not None and oracle is not None else np.inf
@@ -206,8 +205,7 @@ def check_qsi(instances: int = 5, cmi_instances: int = 50, seed: int = 0,
         eig = eig_hermitian(rho.mat)
         delta = classical_cost_observable(costs, eig.eigenvectors)
         target = float(rng.uniform(0.15, 0.6)) * delta.d_max
-        run_opts = SolverOptions(restarts=opts.restarts, max_iterations=opts.max_iterations,
-                                 convergence_tol=opts.convergence_tol, rng_seed=int(rng.integers(2**31)))
+        run_opts = replace(opts, rng_seed=int(rng.integers(2**31)))
         plain = minimize_rate(purify(rho), delta, target, 2, run_opts)
         psi3 = purify_joint(rho, (2, 1))
         qsi = minimize_rate_qsi(psi3, delta, target, 2, run_opts)

@@ -20,6 +20,9 @@ from .solver import lower_envelope, minimize_rate_curve, sample_sweep
 
 _MAX_SVG_POINTS = 5000
 
+#: Most points a ``--grid start:stop:step`` range may expand to.
+_MAX_GRID_POINTS = 10_000
+
 _QSI_METADATA = (
     "# assumes: unlimited shared common randomness between encoder and decoder",
     "# assumes: negligible disturbance of the reference and side-information systems",
@@ -54,22 +57,26 @@ def _load(args) -> ProblemSpec:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    if ":" in text:
-        parts = text.split(":")
-        if len(parts) != 3:
-            raise ProblemSpecError("grid ranges are start:stop:step")
-        start, stop, step = (float(p) for p in parts)
-        if step <= 0 or stop < start:
-            raise ProblemSpecError("grid range must have positive step and stop >= start")
-        count = int(round((stop - start) / step)) + 1
-        return start + step * np.arange(count)
+    is_range = ":" in text
     try:
-        values = np.array([float(t) for t in text.split(",") if t.strip()])
+        values = [float(t) for t in (text.split(":") if is_range else text.split(",")) if t.strip()]
     except ValueError as exc:
         raise ProblemSpecError(f"bad grid value: {exc}") from None
-    if values.size == 0 or np.any(np.diff(values) < 0):
+    if not all(math.isfinite(v) for v in values):
+        raise ProblemSpecError("grid values must be finite")
+    if is_range:
+        if len(values) != 3:
+            raise ProblemSpecError("grid ranges are start:stop:step")
+        start, stop, step = values
+        if step <= 0 or stop < start:
+            raise ProblemSpecError("grid range must have positive step and stop >= start")
+        steps = (stop - start) / step
+        if not steps < _MAX_GRID_POINTS:
+            raise ProblemSpecError(f"grid range spans {steps:.3g} steps, over {_MAX_GRID_POINTS} points")
+        return start + step * np.arange(round(steps) + 1)
+    if not values or np.any(np.diff(values) < 0):
         raise ProblemSpecError("grid must be a nonempty sorted list")
-    return values
+    return np.array(values)
 
 
 def _default_grid(problem: ProblemSpec, d_max: float) -> np.ndarray:
@@ -148,7 +155,7 @@ def cmd_qsi_curve(args) -> int:
     if grid.min() < -1e-12 or grid.max() > delta.d_max + 1e-9:
         raise ProblemSpecError(f"grid must lie within [0, d_max={delta.d_max!r}]")
 
-    descent = minimize_rate_curve(psi, delta, grid, outcomes, problem.solver, qsi=True)
+    descent = minimize_rate_curve(psi, delta, grid, outcomes, problem.solver)
     lines = list(_QSI_METADATA)
     lines.append("D,R_bits,method")
     for d, point in zip(grid, descent):

@@ -2,8 +2,9 @@
 
 A distortion observable is a block operator sum_x Delta_x (x) |x><x| whose
 expectation on the joint (reference, outcome) state measures reconstruction
-error.  Blocks act on the reference (plain setting) or on reference (x) side
-information (QSI setting); the classical register is always the last factor.
+error.  Blocks act on reference (x) side information, with the plain setting
+the case of a one-dimensional side factor; the classical register is always
+the last factor.  :func:`expected_cost` is the one distortion contraction.
 """
 
 from __future__ import annotations
@@ -19,7 +20,14 @@ from .operators import (
     as_hermitian,
     eig_hermitian,
 )
-from .states import DensityOperator, Povm, Purification, _checked_basis, _freeze
+from .states import (
+    DensityOperator,
+    Povm,
+    Purification,
+    _checked_basis,
+    _freeze,
+    conditional_blocks,
+)
 
 
 @dataclass(frozen=True)
@@ -55,11 +63,29 @@ class DistortionObservable:
         return self.blocks[0].shape[0]
 
 
-def _check_alphabets(povm: Povm, delta: DistortionObservable) -> None:
+def expected_cost(blocks: np.ndarray, sig: np.ndarray) -> np.ndarray:
+    """Distortion sum_x Tr(Delta_x sigma_x) of stacked blocks (..., k, d, d)."""
+    return np.einsum("xij,...xji->...", blocks, sig).real
+
+
+def reported_distortion(blocks: np.ndarray, sig: np.ndarray) -> float:
+    """:func:`expected_cost` of one POVM's blocks, roundoff below zero read as 0."""
+    val = float(expected_cost(blocks, sig))
+    return 0.0 if -1e-12 < val < 0.0 else val
+
+
+def _distortion(psi: Purification, povm: Povm, delta: DistortionObservable, blocks_on: str) -> float:
+    if povm.dim != psi.system_dims[0]:
+        raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {psi.system_dims[0]}")
+    d = psi.reference_dim * psi.side_dim
+    if delta.dim != d:
+        raise DimensionMismatch(f"block dimension {delta.dim} != {blocks_on} dimension {d}")
     if povm.outcomes != delta.outcome_count:
         raise DimensionMismatch(
             f"POVM has {povm.outcomes} outcomes but the observable has {delta.outcome_count} blocks"
         )
+    sig = conditional_blocks(psi.measured_matrix(), np.stack(povm.effects))
+    return reported_distortion(np.stack(delta.blocks), sig)
 
 
 def distortion(psi: Purification, povm: Povm, delta: DistortionObservable) -> float:
@@ -70,34 +96,14 @@ def distortion(psi: Purification, povm: Povm, delta: DistortionObservable) -> fl
     """
     if len(psi.system_dims) != 1:
         raise DimensionMismatch("expected a bipartite (reference, system) purification")
-    if povm.dim != psi.system_dims[0]:
-        raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {psi.system_dims[0]}")
-    if delta.dim != psi.reference_dim:
-        raise DimensionMismatch(f"block dimension {delta.dim} != reference dimension {psi.reference_dim}")
-    _check_alphabets(povm, delta)
-    w = psi.as_matrix()
-    blk = np.stack(delta.blocks)
-    lam = np.stack(povm.effects)
-    val = float(np.einsum("xrs,sa,xba,rb->", blk, w, lam, w.conj()).real)
-    return 0.0 if -1e-12 < val < 0.0 else val
+    return _distortion(psi, povm, delta, "reference")
 
 
 def distortion_qsi(psi: Purification, povm: Povm, delta: DistortionObservable) -> float:
     """Average distortion with side information: blocks act on R (x) B."""
     if len(psi.system_dims) != 2:
         raise DimensionMismatch("expected a tripartite (reference, system, side) purification")
-    d_a, d_b = psi.system_dims
-    d_r = psi.reference_dim
-    if povm.dim != d_a:
-        raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {d_a}")
-    if delta.dim != d_r * d_b:
-        raise DimensionMismatch(f"block dimension {delta.dim} != reference*side dimension {d_r * d_b}")
-    _check_alphabets(povm, delta)
-    t = psi.as_tensor()
-    blk = np.stack(delta.blocks).reshape(delta.outcome_count, d_r, d_b, d_r, d_b)
-    lam = np.stack(povm.effects)
-    val = float(np.einsum("xsdrb,xac,rcb,sad->", blk, lam, t, t.conj()).real)
-    return 0.0 if -1e-12 < val < 0.0 else val
+    return _distortion(psi, povm, delta, "reference*side")
 
 
 def eigenbasis_observable(rho: DensityOperator) -> DistortionObservable:

@@ -60,11 +60,23 @@ class ProblemSpecError(ValueError):
 
 
 def _parse_scalar(entry) -> complex:
-    if isinstance(entry, Real):
+    def real(v):
+        return isinstance(v, Real) and not isinstance(v, bool)
+
+    if real(entry):
         return complex(entry)
-    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(isinstance(v, Real) for v in entry):
+    if isinstance(entry, (list, tuple)) and len(entry) == 2 and all(real(v) for v in entry):
         return complex(entry[0], entry[1])
     raise ProblemSpecError(f"expected a real number or [re, im] pair, got {entry!r}")
+
+
+def _parse_number(value, what: str, integer: bool = False):
+    """A JSON number, never a boolean; ``integer`` also demands an integral value."""
+    integral = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+    if isinstance(value, bool) or not isinstance(value, Real) or (integer and not integral):
+        kind = "an integer" if integer else "a real number"
+        raise ProblemSpecError(f"{what} must be {kind}, got {value!r}")
+    return int(value) if integer else float(value)
 
 
 def _parse_matrix(rows, what: str) -> np.ndarray:
@@ -175,8 +187,16 @@ def _parse_solver(data) -> SolverOptions:
     if unknown:
         raise ProblemSpecError(f"unknown solver options {sorted(unknown)}")
     kwargs = dict(data)
+    for key in ("restarts", "max_iterations", "rng_seed", "convergence_tol"):
+        if key in kwargs:
+            kwargs[key] = _parse_number(kwargs[key], f"solver {key}", integer=key != "convergence_tol")
+    if kwargs.get("rng_seed", 0) < 0:
+        raise ProblemSpecError("solver rng_seed must be non-negative")
     if "lagrange_grid" in kwargs:
-        kwargs["lagrange_grid"] = tuple(float(m) for m in kwargs["lagrange_grid"])
+        grid = kwargs["lagrange_grid"]
+        if not isinstance(grid, list):
+            raise ProblemSpecError("solver lagrange_grid must be a list of multipliers")
+        kwargs["lagrange_grid"] = tuple(_parse_number(m, "solver lagrange_grid entry") for m in grid)
     try:
         return SolverOptions(**kwargs)
     except (TypeError, ValueError) as exc:
@@ -193,9 +213,10 @@ def _parse_observable_spec(data) -> dict:
         return {"kind": kind}
     if kind == "classical-cost":
         costs = data.get("costs")
-        if not isinstance(costs, list):
-            raise ProblemSpecError("classical-cost observable needs a 'costs' matrix")
-        return {"kind": kind, "costs": [[float(v) for v in row] for row in costs]}
+        if (not isinstance(costs, list) or not costs or not all(isinstance(r, list) for r in costs)
+                or len({len(r) for r in costs}) != 1):
+            raise ProblemSpecError("classical-cost observable needs a 'costs' matrix of equal-length rows")
+        return {"kind": kind, "costs": [[_parse_number(v, "cost entry") for v in row] for row in costs]}
     if kind == "blocks":
         blocks = data.get("blocks")
         if not isinstance(blocks, list) or not blocks:
@@ -224,7 +245,9 @@ def parse_problem(data: dict) -> ProblemSpec:
         dims = side["dims"]
         if not (isinstance(dims, list) and len(dims) == 2):
             raise ProblemSpecError("side_info dims must be [dA, dB]")
-        side_dims = (int(dims[0]), int(dims[1]))
+        side_dims = tuple(_parse_number(d, "side_info dims entry", integer=True) for d in dims)
+        if min(side_dims) < 1:
+            raise ProblemSpecError(f"side_info dims must be positive, got {list(side_dims)}")
         try:
             joint = DensityOperator(_parse_matrix(side["matrix"], "side_info matrix"))
         except ValueError as exc:
@@ -253,11 +276,13 @@ def parse_problem(data: dict) -> ProblemSpec:
 
     purification_vector = None
     if "purification" in data:
+        if joint is not None:
+            raise ProblemSpecError("purification cannot be combined with side_info")
         purification_vector = _parse_vector(data["purification"], "purification")
 
     outcomes = data.get("outcomes")
     if outcomes is not None:
-        outcomes = int(outcomes)
+        outcomes = _parse_number(outcomes, "outcomes", integer=True)
         if outcomes < 1:
             raise ProblemSpecError("outcomes must be at least 1")
 

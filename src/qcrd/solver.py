@@ -14,6 +14,11 @@ Four routes to (distortion, rate) points:
   post-processing, i.e. the best strategy available without collective
   quantum measurements.
 
+Sweep and descent share one objective, :class:`_Objective`: I(X;R|B) and
+distortion of POVMs on the system factor A, with the purification read as
+(R, A, B).  A bipartite purification is the d_B = 1 case, where I(X;R|B) is
+I(X;R), so the number of system factors alone decides the setting.
+
 Reported optimizer values are achievable upper bounds witnessed by explicit
 POVMs; no global-optimality certificate is claimed.
 """
@@ -26,10 +31,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .distortion import DistortionObservable
-from .information import EIG_FLOOR, InvalidDistribution
+from .distortion import DistortionObservable, expected_cost, reported_distortion
+from .information import InvalidDistribution, cq_information, entropy_gap
 from .operators import DimensionMismatch, eig_hermitian
-from .states import Povm, Purification, povm_effects_from_ginibre
+from .states import Povm, Purification, conditional_blocks, povm_effects_from_ginibre
 
 #: Largest Lagrange multiplier tried before declaring a target infeasible.
 MU_CAP = 1e7
@@ -97,15 +102,16 @@ class SolverOptions:
 # batched evaluation of (rate, distortion) for stacked POVM effects
 
 
-def _eigvals_stacked(mats: np.ndarray, exact: bool = False) -> np.ndarray:
-    """Eigenvalues of stacked Hermitian matrices.
+def _eigvals_stacked(mats: np.ndarray) -> np.ndarray:
+    """Eigenvalues of stacked Hermitian matrices, closed forms for d <= 3.
 
-    The descent hot path uses closed forms for d <= 3 (well above the
-    finite-difference noise floor); ``exact`` forces LAPACK so reported
-    witness values match the public evaluation routines bit-for-bit.
+    Only :meth:`_Objective.evaluate` uses these: the closed forms sit well
+    above the finite-difference noise floor but not at the 1e-10 level near
+    rank deficiency, so every reported value goes through LAPACK in
+    :func:`qcrd.information.cq_information` instead.
     """
     d = mats.shape[-1]
-    if exact or d > 3:
+    if d > 3:
         return np.linalg.eigvalsh(mats)
     if d == 1:
         return mats[..., 0, 0].real.copy()[..., None]
@@ -144,94 +150,45 @@ def _eigvals3(m: np.ndarray) -> np.ndarray:
     return np.stack([e_lo, 3.0 * q - e_hi - e_lo, e_hi], axis=-1)
 
 
-def _neg_wlog2w(w: np.ndarray) -> np.ndarray:
-    """-sum w log2 w over the last axis with the eigenvalue floor applied."""
-    safe = np.where(w > EIG_FLOOR, w, 1.0)
-    return -(np.where(w > EIG_FLOOR, w * np.log2(safe), 0.0)).sum(axis=-1)
+class _Objective:
+    """Batched I(X;R|B) and distortion for POVMs acting on the system factor A.
 
-
-class _RateObjective:
-    """Batched I(X;R) and distortion for POVMs acting on the system factor."""
+    A bipartite purification is the d_B = 1 case, where I(X;R|B) = I(X;R);
+    the observable's blocks act on R (x) B.
+    """
 
     def __init__(self, psi: Purification, delta: DistortionObservable, outcomes: int):
-        if len(psi.system_dims) != 1:
-            raise DimensionMismatch("expected a bipartite (reference, system) purification")
+        d_rb = psi.reference_dim * psi.side_dim
         if delta.outcome_count != int(outcomes):
             raise DimensionMismatch(
                 f"requested {outcomes} outcomes but the observable has {delta.outcome_count} blocks"
             )
-        if delta.dim != psi.reference_dim:
-            raise DimensionMismatch(
-                f"block dimension {delta.dim} != reference dimension {psi.reference_dim}"
-            )
+        if delta.dim != d_rb:
+            raise DimensionMismatch(f"block dimension {delta.dim} != reference*side dimension {d_rb}")
         self.outcomes = int(outcomes)
         self.system_dim = psi.system_dims[0]
-        self.w = psi.as_matrix()
+        self.side_dim = psi.side_dim
+        self.m = psi.measured_matrix()
         self.blocks = np.stack(delta.blocks)
-        rho_r = self.w @ self.w.conj().T
-        self.h_reference = float(_neg_wlog2w(np.clip(np.linalg.eigvalsh(rho_r), 0.0, None)))
-        self.block_means = np.einsum("xrs,sr->x", self.blocks, rho_r).real
+        rho = self.m @ self.m.conj().T
+        self.h_const = float(entropy_gap(rho[None], self.side_dim, np.linalg.eigvalsh))
+        self.block_means = np.einsum("xij,ji->x", self.blocks, rho).real
 
-    def evaluate(self, lam: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
+    def evaluate(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """lam: (..., k, dA, dA) stacked effects -> (rate, distortion), each (...)."""
-        sig = np.einsum("ra,...ba,sb->...rs", self.w, lam, self.w.conj())
-        vals = np.clip(_eigvals_stacked(sig, exact), 0.0, None)
-        p = np.einsum("...rr->...", sig).real
-        h_cond = _neg_wlog2w(vals)
-        plogp = np.where(p > EIG_FLOOR, p * np.log2(np.where(p > EIG_FLOOR, p, 1.0)), 0.0)
-        rate = self.h_reference - (h_cond + plogp).sum(axis=-1)
-        dist = np.einsum("xrs,...xsr->...", self.blocks, sig).real
-        return rate, dist
+        sig = conditional_blocks(self.m, lam)
+        rate = self.h_const - entropy_gap(sig, self.side_dim, _eigvals_stacked)
+        return rate, expected_cost(self.blocks, sig)
+
+    def witness(self, effects: np.ndarray, seed: int) -> RdPoint:
+        """Reported point of the given effects, evaluated like the public functions."""
+        povm = Povm(tuple(effects))
+        sig = conditional_blocks(self.m, np.stack(povm.effects))
+        return RdPoint(reported_distortion(self.blocks, sig), cq_information(sig, self.side_dim),
+                       povm=povm, seed=seed)
 
     def zero_rate_point(self) -> tuple[float, np.ndarray]:
         """Best trivial POVM: a single identity effect on the cheapest label."""
-        x0 = int(np.argmin(self.block_means))
-        effects = np.zeros((self.outcomes, self.system_dim, self.system_dim), dtype=complex)
-        effects[x0] = np.eye(self.system_dim)
-        return float(self.block_means[x0]), effects
-
-
-class _CmiObjective:
-    """Batched I(X;R|B) and distortion for POVMs acting on the A factor."""
-
-    def __init__(self, psi: Purification, delta: DistortionObservable, outcomes: int):
-        if len(psi.system_dims) != 2:
-            raise DimensionMismatch("expected a tripartite (reference, system, side) purification")
-        d_a, d_b = psi.system_dims
-        d_r = psi.reference_dim
-        if delta.outcome_count != int(outcomes):
-            raise DimensionMismatch(
-                f"requested {outcomes} outcomes but the observable has {delta.outcome_count} blocks"
-            )
-        if delta.dim != d_r * d_b:
-            raise DimensionMismatch(
-                f"block dimension {delta.dim} != reference*side dimension {d_r * d_b}"
-            )
-        self.outcomes = int(outcomes)
-        self.system_dim = d_a
-        self.d_r, self.d_b = d_r, d_b
-        self.t = psi.as_tensor()
-        self.blocks = np.stack(delta.blocks)
-        rho_rb = np.einsum("rab,sad->rbsd", self.t, self.t.conj()).reshape(d_r * d_b, d_r * d_b)
-        rho_b = np.einsum("rab,rad->bd", self.t, self.t.conj())
-        h_rb = float(_neg_wlog2w(np.clip(np.linalg.eigvalsh(rho_rb), 0.0, None)))
-        h_b = float(_neg_wlog2w(np.clip(np.linalg.eigvalsh(rho_b), 0.0, None)))
-        self.h_const = h_rb - h_b
-        self.block_means = np.einsum("xij,ji->x", self.blocks, rho_rb).real
-
-    def evaluate(self, lam: np.ndarray, exact: bool = False) -> tuple[np.ndarray, np.ndarray]:
-        lead = lam.shape[:-2]
-        d_rb = self.d_r * self.d_b
-        sig6 = np.einsum("...ac,rcb,sad->...rbsd", lam, self.t, self.t.conj())
-        sig = sig6.reshape(lead + (d_rb, d_rb))
-        sig_b = np.einsum("...rbrd->...bd", sig6)
-        h_rb = _neg_wlog2w(np.clip(_eigvals_stacked(sig, exact), 0.0, None))
-        h_b = _neg_wlog2w(np.clip(_eigvals_stacked(sig_b, exact), 0.0, None))
-        rate = self.h_const - (h_rb - h_b).sum(axis=-1)
-        dist = np.einsum("xij,...xji->...", self.blocks, sig).real
-        return rate, dist
-
-    def zero_rate_point(self) -> tuple[float, np.ndarray]:
         x0 = int(np.argmin(self.block_means))
         effects = np.zeros((self.outcomes, self.system_dim, self.system_dim), dtype=complex)
         effects[x0] = np.eye(self.system_dim)
@@ -242,7 +199,7 @@ class _CmiObjective:
 # Monte-Carlo sweep and lower envelope
 
 
-def _sweep_chunk(obj: _RateObjective, seed, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
+def _sweep_chunk(obj: _Objective, seed, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
     shape = (obj.outcomes, obj.system_dim, obj.system_dim)
     g = np.empty((count,) + shape, dtype=complex)
     for j in range(count):
@@ -259,7 +216,8 @@ def sample_sweep(
     seed: int,
     threads: int = 1,
 ) -> list[RdPoint]:
-    """One (distortion, I(X;R)) point per random POVM.
+    """One (distortion, I(X;R)) point per random POVM; I(X;R|B) for a
+    tripartite purification.
 
     Sample ``i`` draws from the stream keyed by ``(seed, i)`` — identical to
     ``sample_random_povm(dim, outcomes, (seed, i))`` — so the output is
@@ -267,7 +225,7 @@ def sample_sweep(
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
-    obj = _RateObjective(psi, delta, outcomes)
+    obj = _Objective(psi, delta, outcomes)
     jobs = [(s, min(_SWEEP_CHUNK, n_samples - s)) for s in range(0, n_samples, _SWEEP_CHUNK)]
     if threads > 1:
         with ThreadPoolExecutor(max_workers=int(threads)) as pool:
@@ -477,17 +435,11 @@ class _LagrangianSolver:
             sol = self._solve(mu, warm, fresh=1)
             warm = sol.pool
 
-    def _witness(self, effects: np.ndarray) -> RdPoint:
-        povm = Povm(tuple(effects))
-        # report values re-evaluated on the exact returned effects
-        r, d = self.obj.evaluate(np.stack(povm.effects)[None], exact=True)
-        return RdPoint(float(d[0]), float(r[0]), povm=povm, seed=self.opts.rng_seed)
-
     def for_target(self, target: float) -> RdPoint | None:
         tol = self.opts.convergence_tol
         d0, trivial = self.obj.zero_rate_point()
         if d0 <= target + tol:
-            return self._witness(trivial)
+            return self.obj.witness(trivial, self.opts.rng_seed)
         self.sweep()
 
         candidates: list[tuple[float, float, np.ndarray]] = []  # (rate, dist, effects or g)
@@ -564,7 +516,7 @@ class _LagrangianSolver:
                 if float(d[0]) <= target + tol:
                     feasible.append((float(r[0]), float(d[0]), mixed))
             best = min(feasible, key=lambda c: (c[0], c[1]))
-        return self._witness(best[2])
+        return self.obj.witness(best[2], self.opts.rng_seed)
 
 
 def minimize_rate(
@@ -580,10 +532,9 @@ def minimize_rate(
     The result is an achievable upper bound on the rate-distortion function,
     witnessed by the returned POVM.
     """
-    opts = opts or SolverOptions()
-    _check_target(target_d, delta)
-    solver = _LagrangianSolver(_RateObjective(psi, delta, outcomes), opts)
-    return solver.for_target(float(target_d))
+    if len(psi.system_dims) != 1:
+        raise DimensionMismatch("expected a bipartite (reference, system) purification")
+    return minimize_rate_curve(psi, delta, [target_d], outcomes, opts)[0]
 
 
 def minimize_rate_qsi(
@@ -595,25 +546,12 @@ def minimize_rate_qsi(
 ) -> RdPoint | None:
     """Same scheme as :func:`minimize_rate` with objective I(X;R|B).
 
-    A one-dimensional side factor is dropped up front, so the trivial-B case
-    follows the plain solver's code path exactly.
+    A one-dimensional side factor runs the very code of the plain setting,
+    so the trivial-B case returns the plain solver's result bit for bit.
     """
-    opts = opts or SolverOptions()
-    _check_target(target_d, delta)
-    reduced = _drop_trivial_side(psi)
-    if reduced is not None:
-        solver = _LagrangianSolver(_RateObjective(reduced, delta, outcomes), opts)
-    else:
-        solver = _LagrangianSolver(_CmiObjective(psi, delta, outcomes), opts)
-    return solver.for_target(float(target_d))
-
-
-def _drop_trivial_side(psi: Purification) -> Purification | None:
-    """Bipartite view of a tripartite purification whose B factor is trivial."""
-    if len(psi.system_dims) == 2 and psi.system_dims[1] == 1:
-        return Purification(psi.vector, psi.reference_dim, (psi.system_dims[0],),
-                            schmidt_coeffs=psi.schmidt_coeffs)
-    return None
+    if len(psi.system_dims) != 2:
+        raise DimensionMismatch("expected a tripartite (reference, system, side) purification")
+    return minimize_rate_curve(psi, delta, [target_d], outcomes, opts)[0]
 
 
 def minimize_rate_curve(
@@ -622,19 +560,13 @@ def minimize_rate_curve(
     targets,
     outcomes: int,
     opts: SolverOptions | None = None,
-    qsi: bool = False,
 ) -> list[RdPoint | None]:
-    """Run :func:`minimize_rate` over a grid of targets sharing one sweep."""
+    """Minimal I(X;R), or I(X;R|B) for a tripartite purification, over a
+    grid of targets sharing one Lagrangian sweep."""
     opts = opts or SolverOptions()
     for t in targets:
         _check_target(t, delta)
-    if qsi:
-        reduced = _drop_trivial_side(psi)
-        objective = (_RateObjective(reduced, delta, outcomes) if reduced is not None
-                     else _CmiObjective(psi, delta, outcomes))
-    else:
-        objective = _RateObjective(psi, delta, outcomes)
-    solver = _LagrangianSolver(objective, opts)
+    solver = _LagrangianSolver(_Objective(psi, delta, outcomes), opts)
     return [solver.for_target(float(t)) for t in targets]
 
 

@@ -129,6 +129,18 @@ class Purification:
     def dims(self) -> tuple[int, ...]:
         return (self.reference_dim,) + self.system_dims
 
+    @property
+    def side_dim(self) -> int:
+        """Dimension of the side factor B; 1 for a bipartite purification."""
+        return self.system_dims[1] if len(self.system_dims) == 2 else 1
+
+    def measured_matrix(self) -> np.ndarray:
+        """Amplitudes as a (reference (x) side, system) matrix M: measuring
+        effect E on A leaves M E^T M^dagger on R (x) B."""
+        d_a = self.system_dims[0]
+        t = self.vector.reshape(self.reference_dim, d_a, self.side_dim)
+        return np.ascontiguousarray(t.transpose(0, 2, 1).reshape(-1, d_a))
+
     def as_matrix(self) -> np.ndarray:
         """Amplitudes as a (reference, joint-system) matrix."""
         return self.vector.reshape(self.reference_dim, -1)
@@ -148,6 +160,13 @@ class Purification:
         return np.einsum("ra,rb->ab", w, w.conj())
 
 
+def _schmidt_purification(rho: DensityOperator, system_dims: tuple[int, ...]) -> Purification:
+    eig = eig_hermitian(rho.mat)
+    coeffs = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
+    w = (eig.eigenvectors * coeffs) @ eig.eigenvectors.T
+    return Purification(w.reshape(-1), rho.dim, system_dims, schmidt_coeffs=coeffs)
+
+
 def purify(rho: DensityOperator) -> Purification:
     """Schmidt-form purification sum_i sqrt(lambda_i) |v_i>_R |v_i>_A.
 
@@ -155,10 +174,7 @@ def purify(rho: DensityOperator) -> Purification:
     the eigenbasis of ``rho`` (descending eigenvalue order), so tracing out
     either side returns ``rho``.
     """
-    eig = eig_hermitian(rho.mat)
-    coeffs = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    w = (eig.eigenvectors * coeffs) @ eig.eigenvectors.T
-    return Purification(w.reshape(-1), rho.dim, (rho.dim,), schmidt_coeffs=coeffs)
+    return _schmidt_purification(rho, (rho.dim,))
 
 
 def purify_joint(rho_ab: DensityOperator, system_dims: tuple[int, int]) -> Purification:
@@ -170,10 +186,7 @@ def purify_joint(rho_ab: DensityOperator, system_dims: tuple[int, int]) -> Purif
     d_a, d_b = (int(d) for d in system_dims)
     if d_a * d_b != rho_ab.dim:
         raise DimensionMismatch(f"system dims {system_dims} do not multiply to {rho_ab.dim}")
-    eig = eig_hermitian(rho_ab.mat)
-    coeffs = np.sqrt(np.clip(eig.eigenvalues, 0.0, None))
-    w = (eig.eigenvectors * coeffs) @ eig.eigenvectors.T
-    return Purification(w.reshape(-1), rho_ab.dim, (d_a, d_b), schmidt_coeffs=coeffs)
+    return _schmidt_purification(rho_ab, (d_a, d_b))
 
 
 def apply_measurement_map(povm: Povm, state: DensityOperator) -> np.ndarray:
@@ -225,10 +238,20 @@ class CqState:
 
     def marginal_quantum(self) -> np.ndarray:
         """Reduced state on the quantum factor(s): sum_x sigma_x."""
-        total = np.zeros((self.quantum_dim, self.quantum_dim), dtype=complex)
-        for op in self.conditional_ops:
-            total += op
-        return total
+        return np.sum(self.conditional_ops, axis=0)
+
+
+def conditional_blocks(m: np.ndarray, effects: np.ndarray) -> np.ndarray:
+    """Blocks sigma_x = M effect_x^T M^dagger on R (x) B, of trace p(x), for
+    stacked effects (..., k, dA, dA) and M from :meth:`Purification.measured_matrix`."""
+    return np.einsum("ra,...ba,sb->...rs", m, effects, m.conj())
+
+
+def _induced(psi: Purification, povm: Povm) -> CqState:
+    if povm.dim != psi.system_dims[0]:
+        raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {psi.system_dims[0]}")
+    ops = conditional_blocks(psi.measured_matrix(), np.stack(povm.effects))
+    return CqState(np.einsum("xrr->x", ops).real, tuple(ops), (psi.reference_dim,) + psi.system_dims[1:])
 
 
 def induced_cq_state(psi: Purification, povm: Povm) -> CqState:
@@ -241,12 +264,7 @@ def induced_cq_state(psi: Purification, povm: Povm) -> CqState:
     """
     if len(psi.system_dims) != 1:
         raise DimensionMismatch("expected a bipartite (reference, system) purification")
-    if povm.dim != psi.system_dims[0]:
-        raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {psi.system_dims[0]}")
-    w = psi.as_matrix()
-    ops = tuple(w @ e.T @ w.conj().T for e in povm.effects)
-    probs = np.array([float(op.trace().real) for op in ops])
-    return CqState(probs, ops, (psi.reference_dim,))
+    return _induced(psi, povm)
 
 
 def induced_cq_state_qsi(psi: Purification, povm: Povm) -> CqState:
@@ -256,17 +274,7 @@ def induced_cq_state_qsi(psi: Purification, povm: Povm) -> CqState:
     """
     if len(psi.system_dims) != 2:
         raise DimensionMismatch("expected a tripartite (reference, system, side) purification")
-    d_a, d_b = psi.system_dims
-    d_r = psi.reference_dim
-    if povm.dim != d_a:
-        raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {d_a}")
-    t = psi.as_tensor()
-    ops = tuple(
-        np.einsum("ac,rcb,sad->rbsd", e, t, t.conj()).reshape(d_r * d_b, d_r * d_b)
-        for e in povm.effects
-    )
-    probs = np.array([float(op.trace().real) for op in ops])
-    return CqState(probs, ops, (d_r, d_b))
+    return _induced(psi, povm)
 
 
 def _checked_basis(basis, dim: int) -> np.ndarray:

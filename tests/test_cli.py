@@ -145,6 +145,28 @@ class TestCurve:
                      "--out-svg", str(tmp_path / "c.svg")])
         assert code == 1
 
+    @pytest.mark.parametrize("grid", ["0:0.2:1e-13", "0:inf:1", "0:0.2:x"])
+    def test_unusable_grid_range_rejected(self, tmp_path, capsys, grid):
+        code = main(["curve", "--preset", "paper-example", "--n", "10",
+                     "--grid", grid, "--out-csv", str(tmp_path / "c.csv"),
+                     "--out-svg", str(tmp_path / "c.svg")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fields", [
+        {"observable": {"kind": "classical-cost", "costs": [1, 2]}},
+        {"solver": {"lagrange_grid": 5}},
+        {"solver": {"restarts": 2.5}},
+        {"outcomes": True},
+    ])
+    def test_malformed_spec_fields_fail_cleanly(self, tmp_path, capsys, fields):
+        spec = write_spec(tmp_path, {"schema": 1, "source": "paper-example",
+                                     "observable": "paper-example", **fields})
+        code = main(["curve", "--spec", spec, "--n", "10", "--grid", "0.1",
+                     "--out-csv", str(tmp_path / "c.csv"), "--out-svg", str(tmp_path / "c.svg")])
+        assert code == 1
+        assert "error:" in capsys.readouterr().err
+
     def test_eigenbasis_observable_lossless_point(self, tmp_path):
         # at D = 0 the eigenbasis observable forces the eigenbasis measurement,
         # whose rate is the source entropy (about 0.6009 bits for the preset)

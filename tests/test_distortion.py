@@ -233,6 +233,14 @@ class TestDistortionQsi:
         plain = distortion(purify(rho), povm, obs)
         lifted = distortion_qsi(purify_joint(rho, (2, 1)), povm, obs)
         assert abs(plain - lifted) < 1e-12
+        # (d_A, 1) purifications for further system sizes, with a full-rank observable
+        for d_a in (1, 3, 4):
+            rho = random_density(rng, d_a)
+            povm = sample_random_povm(d_a, 3, rng.integers(2**63))
+            obs = DistortionObservable(tuple(random_density(rng, d_a).mat for _ in range(3)))
+            plain = distortion(purify(rho), povm, obs)
+            lifted = distortion_qsi(purify_joint(rho, (d_a, 1)), povm, obs)
+            assert abs(plain - lifted) < 1e-12
 
     def test_identity_side_blocks_ignore_side_factor(self):
         rng = np.random.default_rng(41)

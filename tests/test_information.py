@@ -172,7 +172,15 @@ class TestConditionalMutualInformation:
         lifted = conditional_mutual_information_cq(
             induced_cq_state_qsi(purify_joint(rho, (3, 1)), povm)
         )
-        assert abs(plain - lifted) < 1e-10
+        assert abs(plain - lifted) < 1e-12
+        for d_a in (1, 2, 4):
+            rho = random_density(rng, d_a)
+            povm = sample_random_povm(d_a, 3, rng.integers(2**63))
+            plain = mutual_information_cq(induced_cq_state(purify(rho), povm))
+            lifted = conditional_mutual_information_cq(
+                induced_cq_state_qsi(purify_joint(rho, (d_a, 1)), povm)
+            )
+            assert abs(plain - lifted) < 1e-12
 
     def test_uncorrelated_side_factor_drops_out(self):
         rng = np.random.default_rng(13)
@@ -186,10 +194,12 @@ class TestConditionalMutualInformation:
 
     def test_difference_form_matches_four_entropies(self):
         rng = np.random.default_rng(17)
-        for _ in range(100):
-            joint = random_density(rng, 4)
-            psi = purify_joint(joint, (2, 2))
-            povm = sample_random_povm(2, int(rng.integers(2, 4)), rng.integers(2**63))
+        # 100 two-qubit (A, B) instances, then (d_A, 1) purifications
+        cases = [(4, (2, 2))] * 100 + [(2, (2, 1)), (3, (3, 1)), (4, (4, 1))]
+        for dim, dims in cases:
+            joint = random_density(rng, dim)
+            psi = purify_joint(joint, dims)
+            povm = sample_random_povm(dims[0], int(rng.integers(2, 4)), rng.integers(2**63))
             sigma = induced_cq_state_qsi(psi, povm)
             full = cq_full_matrix(sigma)
             k = sigma.outcome_count

@@ -53,6 +53,12 @@ class TestParsing:
         problem = parse_problem(minimal_spec(source={"matrix": mat}, observable={"kind": "eigenbasis"}))
         assert trace_distance(problem.source.mat, np.eye(2) / 2) < 1e-12
 
+    @pytest.mark.parametrize("entry", [True, [0.5, False]])
+    def test_boolean_matrix_entries_rejected(self, entry):
+        mat = [[entry, 0.0], [0.0, 0.5]]
+        with pytest.raises(ProblemSpecError):
+            parse_problem(minimal_spec(source={"matrix": mat}, observable={"kind": "eigenbasis"}))
+
     def test_schema_version_required(self):
         with pytest.raises(ProblemSpecError):
             parse_problem(minimal_spec(schema=2))
@@ -106,6 +112,35 @@ class TestParsing:
         with pytest.raises(ProblemSpecError):
             parse_problem(minimal_spec(solver={"bogus": 1}))
 
+    @pytest.mark.parametrize("value", [2.7, True, False, "2", [2]])
+    def test_outcomes_must_be_an_integer(self, value):
+        with pytest.raises(ProblemSpecError):
+            parse_problem(minimal_spec(outcomes=value))
+
+    def test_integral_float_outcomes_accepted(self):
+        assert parse_problem(minimal_spec(outcomes=2.0)).outcomes == 2
+
+    @pytest.mark.parametrize("key", ["restarts", "max_iterations", "rng_seed"])
+    @pytest.mark.parametrize("value", [2.5, True, "3", [3], -1])
+    def test_integer_solver_options_are_strict(self, key, value):
+        with pytest.raises(ProblemSpecError):
+            parse_problem(minimal_spec(solver={key: value}))
+
+    @pytest.mark.parametrize("solver", [
+        {"lagrange_grid": 5},
+        {"lagrange_grid": [1.0, "2"]},
+        {"lagrange_grid": [True]},
+        {"convergence_tol": "1e-7"},
+    ])
+    def test_malformed_real_solver_options_rejected(self, solver):
+        with pytest.raises(ProblemSpecError):
+            parse_problem(minimal_spec(solver=solver))
+
+    @pytest.mark.parametrize("costs", [[1.0, 2.0], [], [[0.0, 1.0], [1.0]], [[0.0, "1"], [1.0, 0.0]]])
+    def test_malformed_costs_rejected(self, costs):
+        with pytest.raises(ProblemSpecError):
+            parse_problem(minimal_spec(observable={"kind": "classical-cost", "costs": costs}))
+
 
 class TestSideInfo:
     @staticmethod
@@ -149,6 +184,19 @@ class TestSideInfo:
     def test_side_info_needs_dims(self):
         spec = self.joint_spec()
         del spec["side_info"]["dims"]
+        with pytest.raises(ProblemSpecError):
+            parse_problem(spec)
+
+    @pytest.mark.parametrize("dims", [[True, 4], [2.5, 2], [2, "2"], [0, 4], [-2, -2]])
+    def test_side_info_dims_must_be_positive_integers(self, dims):
+        spec = self.joint_spec()
+        spec["side_info"]["dims"] = dims
+        with pytest.raises(ProblemSpecError):
+            parse_problem(spec)
+
+    def test_purification_rejected_with_side_info(self):
+        # a 4-entry vector cannot purify the 4x4 joint state (16 amplitudes)
+        spec = self.joint_spec(purification=[0.5, 0.5, 0.5, 0.5])
         with pytest.raises(ProblemSpecError):
             parse_problem(spec)
 

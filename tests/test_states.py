@@ -234,6 +234,15 @@ class TestInducedCqStateQsi:
         assert lifted.factor_dims == (3, 1)
         for a, b in zip(plain.conditional_ops, lifted.conditional_ops):
             assert np.abs(a - b).max() < 1e-12
+        for d_a in (1, 2, 4):
+            rho = random_density(rng, d_a)
+            povm = sample_random_povm(d_a, 3, rng.integers(2**63))
+            plain = induced_cq_state(purify(rho), povm)
+            lifted = induced_cq_state_qsi(purify_joint(rho, (d_a, 1)), povm)
+            assert lifted.factor_dims == (d_a, 1)
+            assert np.abs(plain.probs - lifted.probs).max() < 1e-12
+            for a, b in zip(plain.conditional_ops, lifted.conditional_ops):
+                assert np.abs(a - b).max() < 1e-12
 
     def test_trivial_povm_halves_joint_state(self):
         rng = np.random.default_rng(43)
