@@ -3,8 +3,8 @@
 
 I(X;R) is I(X;R|B) with d_B = 1, and :func:`entropy_gap` computes both.
 Reported rates (the public functions and the solver's witnesses) go through
-:func:`cq_information` on LAPACK eigenvalues; only the solver's batched
-evaluation passes its closed-form eigenvalues.
+:func:`cq_information` on LAPACK eigenvalues; only the solver's Monte-Carlo
+sweep passes its closed-form eigenvalues.
 """
 
 from __future__ import annotations
@@ -52,16 +52,21 @@ def von_neumann_entropy(rho: DensityOperator) -> float:
     return float(entropy_terms(np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)))
 
 
+def side_marginal(blocks: np.ndarray, side_dim: int) -> np.ndarray:
+    """Tr_R of stacked operators (..., dRdB, dRdB) on R (x) B; with ``side_dim``
+    1 this is the 1x1 trace."""
+    d_r = blocks.shape[-1] // side_dim
+    return np.trace(blocks.reshape(blocks.shape[:-2] + (d_r, side_dim, d_r, side_dim)), axis1=-4, axis2=-2)
+
+
 def entropy_gap(blocks: np.ndarray, side_dim: int, eigvals) -> np.ndarray:
     """sum_x [S(sigma_x) - S(Tr_R sigma_x)] over stacked blocks (..., k, dRdB, dRdB).
 
     ``eigvals`` maps stacked Hermitian matrices to eigenvalues.  The blocks
     are unnormalized, so with ``side_dim`` 1 the side term is -p(x) log2 p(x).
     """
-    d_r = blocks.shape[-1] // side_dim
-    side = np.trace(blocks.reshape(blocks.shape[:-2] + (d_r, side_dim, d_r, side_dim)), axis1=-4, axis2=-2)
     joint = entropy_terms(np.clip(eigvals(blocks), 0.0, None))
-    return (joint - entropy_terms(np.clip(eigvals(side), 0.0, None))).sum(axis=-1)
+    return (joint - entropy_terms(np.clip(eigvals(side_marginal(blocks, side_dim)), 0.0, None))).sum(axis=-1)
 
 
 def cq_information(ops: np.ndarray, side_dim: int) -> float:

@@ -6,8 +6,8 @@ Four routes to (distortion, rate) points:
   reproduction path), with :func:`lower_envelope` extracting the trade-off
   boundary;
 * :func:`minimize_rate` / :func:`minimize_rate_qsi` — constrained
-  minimization of I(X;R) resp. I(X;R|B) via a Lagrangian sweep with
-  multistart finite-difference descent on the Ginibre parametrization;
+  minimization of I(X;R) resp. I(X;R|B) via a Lagrangian sweep over
+  multipliers mu, minimizing L = rate + mu * distortion at each;
 * :func:`blahut_arimoto` — the classical oracle for effectively classical
   (Schmidt-diagonal) observables;
 * :func:`classical_strategy_rate` — eigenbasis measurement plus classical
@@ -19,8 +19,13 @@ distortion of POVMs on the system factor A, with the purification read as
 (R, A, B).  A bipartite purification is the d_B = 1 case, where I(X;R|B) is
 I(X;R), so the number of system factors alone decides the setting.
 
-Reported optimizer values are achievable upper bounds witnessed by explicit
-POVMs; no global-optimality certificate is claimed.
+L is convex in the effects: I(X;R) = sum_x D(sigma_x || p_x rho_R) with
+sigma_x linear in the effects, I(X;R|B) = const - sum_x D(sigma_x || 1_R (x)
+Tr_R sigma_x) by joint convexity of relative entropy, and distortion is
+linear.  The descent therefore works on the effects themselves, with a
+monotone multiplicative step along the analytic gradient that keeps every
+iterate a POVM.  Reported optimizer values are achievable upper bounds
+witnessed by explicit POVMs; no lower bound is computed yet.
 """
 
 from __future__ import annotations
@@ -32,7 +37,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import DistortionObservable, expected_cost, reported_distortion
-from .information import InvalidDistribution, cq_information, entropy_gap
+from .information import (EIG_FLOOR, InvalidDistribution, cq_information, entropy_gap, entropy_terms,
+                          side_marginal)
 from .operators import DimensionMismatch, eig_hermitian
 from .states import Povm, Purification, conditional_blocks, povm_effects_from_ginibre
 
@@ -44,7 +50,9 @@ MU_CAP = 1e7
 PLATEAU_WINDOW = 50
 
 _SWEEP_CHUNK = 4096
-_FD_STEP = 1e-5
+
+#: Largest step, in units of the gradient-eigenvalue spread, of the descent.
+_MAX_STEP = 8.0
 
 
 @dataclass(frozen=True)
@@ -91,10 +99,10 @@ class SolverOptions:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if self.convergence_tol <= 0:
-            raise ValueError("convergence_tol must be positive")
-        if not self.lagrange_grid or any(mu <= 0 for mu in self.lagrange_grid):
-            raise ValueError("lagrange_grid must contain positive multipliers")
+        if not 0 < self.convergence_tol < math.inf:
+            raise ValueError("convergence_tol must be finite and positive")
+        if not self.lagrange_grid or not all(0 < mu < math.inf for mu in self.lagrange_grid):
+            raise ValueError("lagrange_grid must contain finite positive multipliers")
         object.__setattr__(self, "lagrange_grid", tuple(sorted(float(m) for m in self.lagrange_grid)))
 
 
@@ -105,10 +113,10 @@ class SolverOptions:
 def _eigvals_stacked(mats: np.ndarray) -> np.ndarray:
     """Eigenvalues of stacked Hermitian matrices, closed forms for d <= 3.
 
-    Only :meth:`_Objective.evaluate` uses these: the closed forms sit well
-    above the finite-difference noise floor but not at the 1e-10 level near
-    rank deficiency, so every reported value goes through LAPACK in
-    :func:`qcrd.information.cq_information` instead.
+    Only :meth:`_Objective.evaluate`, and so only :func:`sample_sweep`, uses
+    these: they are 11-40x faster than LAPACK for d <= 3 but off by up to
+    ~1e-7 bits near rank deficiency, so the descent and every reported value
+    use LAPACK instead.
     """
     d = mats.shape[-1]
     if d > 3:
@@ -150,6 +158,11 @@ def _eigvals3(m: np.ndarray) -> np.ndarray:
     return np.stack([e_lo, 3.0 * q - e_hi - e_lo, e_hi], axis=-1)
 
 
+def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
+    """Stacked v diag(values) v^dagger."""
+    return (v * values[..., None, :]) @ v.conj().swapaxes(-1, -2)
+
+
 class _Objective:
     """Batched I(X;R|B) and distortion for POVMs acting on the system factor A.
 
@@ -173,12 +186,33 @@ class _Objective:
         rho = self.m @ self.m.conj().T
         self.h_const = float(entropy_gap(rho[None], self.side_dim, np.linalg.eigvalsh))
         self.block_means = np.einsum("xij,ji->x", self.blocks, rho).real
+        self.cost_gradient = np.einsum("ra,xrs,sb->xba", self.m.conj(), self.blocks, self.m)
 
     def evaluate(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """lam: (..., k, dA, dA) stacked effects -> (rate, distortion), each (...)."""
         sig = conditional_blocks(self.m, lam)
         rate = self.h_const - entropy_gap(sig, self.side_dim, _eigvals_stacked)
         return rate, expected_cost(self.blocks, sig)
+
+    def lagrangian(self, lam: np.ndarray, mu: float):
+        """L = rate + mu * distortion of effects (n, k, dA, dA) on LAPACK eigh,
+        returned with rate, distortion and the gradient dL/dLambda_x.
+
+        The gradient is (M^dag [log sigma_x - 1_R (x) log Tr_R sigma_x] M)^T / ln 2
+        + mu (M^dag Delta_x M)^T; one eigh per block gives value and gradient.
+        """
+        sig = conditional_blocks(self.m, lam)
+        w, v = np.linalg.eigh(sig)
+        ws, vs = np.linalg.eigh(side_marginal(sig, self.side_dim))
+        gap = entropy_terms(np.clip(w, 0.0, None)) - entropy_terms(np.clip(ws, 0.0, None))
+        rate = self.h_const - gap.sum(axis=-1)
+        dist = expected_cost(self.blocks, sig)
+        log_joint = _spectral(v, np.log(np.maximum(w, EIG_FLOOR)))
+        log_side = _spectral(vs, np.log(np.maximum(ws, EIG_FLOOR)))
+        m3 = self.m.reshape(-1, self.side_dim, self.system_dim)
+        d_rate = (np.einsum("ra,...rs,sb->...ba", self.m.conj(), log_joint, self.m)
+                  - np.einsum("rca,...cd,rdb->...ba", m3.conj(), log_side, m3)) / math.log(2.0)
+        return rate + mu * dist, rate, dist, d_rate + mu * self.cost_gradient
 
     def witness(self, effects: np.ndarray, seed: int) -> RdPoint:
         """Reported point of the given effects, evaluated like the public functions."""
@@ -275,81 +309,50 @@ def lower_envelope(points: list[RdPoint], grid) -> RdCurve:
 # Lagrangian multistart descent
 
 
-def _to_params(g: np.ndarray) -> np.ndarray:
-    lead = g.shape[:-3]
-    flat = g.reshape(lead + (-1,))
-    return np.concatenate([flat.real, flat.imag], axis=-1)
+def _multiplicative_step(root: np.ndarray, grad: np.ndarray, step: np.ndarray) -> np.ndarray:
+    """Factors of S^{-1/2} R_x Lambda_x R_x S^{-1/2}, R_x = exp(-eta (G_x - g_min) / 2).
 
-
-def _from_params(theta: np.ndarray, k: int, d: int) -> np.ndarray:
-    lead = theta.shape[:-1]
-    half = theta.shape[-1] // 2
-    flat = theta[..., :half] + 1j * theta[..., half:]
-    return flat.reshape(lead + (k, d, d))
-
-
-def _ginibre_root(effects: np.ndarray) -> np.ndarray:
-    """Parameter matrices reproducing the given effects exactly.
-
-    With G_x = sqrt(effect_x) the normalizer M equals the identity, so the
-    Ginibre-square map returns the effects unchanged (up to roundoff).
+    ``root`` holds factors U_x with U_x^dag U_x = Lambda_x, stacked (n, k, d, d).
+    The new factors are the polar factor of the stacked U_x R_x, an isometry,
+    so the new effects are PSD and sum to the identity by construction.  eta
+    is ``step`` over the chain's gradient-eigenvalue spread.
     """
-    w, v = np.linalg.eigh(effects)
-    return (v * np.sqrt(np.clip(w, 0.0, None))[..., None, :]) @ v.conj().swapaxes(-1, -2)
+    n, k, d = root.shape[:3]
+    gw, gv = np.linalg.eigh(grad)
+    low = gw.min(axis=(-2, -1))[:, None, None]
+    spread = gw.max(axis=(-2, -1))[:, None, None] - low
+    eta = step[:, None, None] / np.maximum(spread, 1e-12)
+    r = _spectral(gv, np.exp(-eta * (gw - low) / 2.0))
+    u, _, vh = np.linalg.svd((root @ r).reshape(n, k * d, d), full_matrices=False)
+    return (u @ vh).reshape(n, k, d, d)
 
 
-def _mix_to_target(eff_low: np.ndarray, d_low: float, eff_high: np.ndarray, d_high: float,
-                   target: float) -> np.ndarray:
-    """Outcome-wise POVM mixture whose (affine) distortion equals the target."""
-    t = (d_high - target) / (d_high - d_low)
-    return t * eff_low + (1.0 - t) * eff_high
-
-
-def _objective(obj, mu: float, theta: np.ndarray, k: int, d: int):
-    lam = povm_effects_from_ginibre(_from_params(theta, k, d))
-    rate, dist = obj.evaluate(lam)
-    return rate + mu * dist, rate, dist
-
-
-def _fd_gradient(obj, mu: float, theta: np.ndarray, k: int, d: int) -> np.ndarray:
-    """Central finite differences with step ``_FD_STEP`` on the real parameters."""
-    c, p = theta.shape
-    pts = np.repeat(theta[:, None, :], 2 * p, axis=1)
-    idx = np.arange(p)
-    pts[:, idx, idx] += _FD_STEP
-    pts[:, p + idx, idx] -= _FD_STEP
-    f, _, _ = _objective(obj, mu, pts.reshape(c * 2 * p, p), k, d)
-    f = f.reshape(c, 2 * p)
-    return (f[:, :p] - f[:, p:]) / (2 * _FD_STEP)
-
-
-def _descend(obj, mu: float, g0: np.ndarray, opts: SolverOptions):
-    """Monotone normalized-gradient descent on stacked chains.
+def _descend(obj, mu: float, lam: np.ndarray, opts: SolverOptions):
+    """Monotone multiplicative descent of L = rate + mu * distortion on
+    stacked chains of effects (n, k, d, d).
 
     Each chain keeps its own adaptive step; a chain freezes when its step
     collapses or when the objective improves by less than the convergence
     tolerance over PLATEAU_WINDOW iterations.
     """
-    k, d = obj.outcomes, obj.system_dim
-    theta = _to_params(np.asarray(g0, dtype=complex))
-    n = theta.shape[0]
-    f, rate, dist = _objective(obj, mu, theta, k, d)
-    step = np.full(n, 0.25)
+    w, v = np.linalg.eigh(lam)
+    root = _spectral(v, np.sqrt(np.clip(w, 0.0, None)))
+    f, rate, dist, grad = obj.lagrangian(lam, mu)
+    n = f.size
+    step = np.ones(n)
     window_f = f.copy()
     active = np.arange(n)
     it = 0
     while active.size and it < opts.max_iterations:
-        grad = _fd_gradient(obj, mu, theta[active], k, d)
-        norms = np.linalg.norm(grad, axis=1)
-        dirn = grad / np.maximum(norms, 1e-30)[:, None]
-        prop = theta[active] - step[active][:, None] * dirn
-        fp, rp, dp = _objective(obj, mu, prop, k, d)
+        prop_root = _multiplicative_step(root[active], grad[active], step[active])
+        prop = prop_root.conj().swapaxes(-1, -2) @ prop_root
+        fp, rp, dp, gp = obj.lagrangian(prop, mu)
         acc = fp < f[active]
         idx_acc = active[acc]
         idx_rej = active[~acc]
-        theta[idx_acc] = prop[acc]
+        lam[idx_acc], root[idx_acc], grad[idx_acc] = prop[acc], prop_root[acc], gp[acc]
         f[idx_acc], rate[idx_acc], dist[idx_acc] = fp[acc], rp[acc], dp[acc]
-        step[idx_acc] = np.minimum(step[idx_acc] * 1.3, 4.0)
+        step[idx_acc] = np.minimum(step[idx_acc] * 1.5, _MAX_STEP)
         step[idx_rej] *= 0.5
         it += 1
         if it % PLATEAU_WINDOW == 0:
@@ -358,7 +361,7 @@ def _descend(obj, mu: float, g0: np.ndarray, opts: SolverOptions):
             window_f = f.copy()
         elif (step[active] <= 1e-10).any():
             active = active[step[active] > 1e-10]
-    return _from_params(theta, k, d), f, rate, dist
+    return lam, f, rate, dist
 
 
 @dataclass
@@ -366,74 +369,60 @@ class _MuSolution:
     mu: float
     rate: float
     dist: float
-    g: np.ndarray       # best chain
-    pool: np.ndarray    # top chains for warm starts
+    effects: np.ndarray  # best chain
 
 
 class _LagrangianSolver:
     """Shared Lagrangian sweep serving one or many target distortions.
 
     Solutions at each multiplier are cached so a grid of targets reuses the
-    same descent work; neighbouring multipliers warm-start each other.
+    same descent work; each solve warm-starts from the nearest multiplier
+    solved so far.
     """
 
     #: extra rate allowed between the reported witness and the true optimum
     #: at the exact target, used to stop the multiplier bisection.
     RATE_MARGIN = 2e-4
 
+    #: weight of the maximally mixed POVM in a warm start: multiplicative
+    #: steps never grow a support, so an unmixed warm start could stay on a
+    #: boundary face that is optimal only at the old multiplier.
+    WARM_MIX = 0.1
+
     def __init__(self, obj, opts: SolverOptions):
         self.obj = obj
         self.opts = opts
         self.rng = np.random.default_rng(opts.rng_seed)
         self.k, self.d = obj.outcomes, obj.system_dim
+        self.mixed = np.broadcast_to(np.eye(self.d, dtype=complex) / self.k, (self.k, self.d, self.d))
         self.solutions: dict[float, _MuSolution] = {}
-        self._swept = False
 
-    def _fresh(self, n: int) -> np.ndarray:
-        shape = (n, self.k, self.d, self.d)
-        return self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
-
-    def _solve(self, mu: float, warm: np.ndarray | None, fresh: int) -> _MuSolution:
-        if warm is None:
-            chains = self._fresh(self.opts.restarts)
-        else:
-            # a rank-deficient effect is a saddle of the Ginibre map (zero
-            # differential), so warm chains can stall there; an
-            # interior-centered copy of the best warm chain escapes it
-            parts = [warm, self._centered(warm[0])[None]]
-            if fresh > 0:
-                parts.append(self._fresh(fresh))
-            chains = np.concatenate(parts, axis=0)
-        g, f, rate, dist = _descend(self.obj, mu, chains, self.opts)
-        order = np.argsort(f, kind="stable")
-        pool = g[order[: max(2, self.opts.restarts // 4)]]
-        sol = _MuSolution(mu, float(rate[order[0]]), float(dist[order[0]]), g[order[0]], pool)
-        self.solutions[mu] = sol
-        return sol
-
-    def _centered(self, g: np.ndarray, weight: float = 0.1) -> np.ndarray:
-        effects = povm_effects_from_ginibre(g)
-        eye = np.eye(self.d, dtype=complex)[None] / self.k
-        return _ginibre_root((1.0 - weight) * effects + weight * np.broadcast_to(eye, effects.shape))
+    def _starts(self, warm: np.ndarray | None) -> np.ndarray:
+        """``restarts`` chains: the maximally mixed POVM, the warm start mixed
+        toward it, then Ginibre POVMs."""
+        chains = [self.mixed]
+        if warm is not None and self.opts.restarts > 1:
+            chains.append((1.0 - self.WARM_MIX) * warm + self.WARM_MIX * self.mixed)
+        shape = (self.opts.restarts - len(chains), self.k, self.d, self.d)
+        g = self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
+        return np.concatenate([np.stack(chains), povm_effects_from_ginibre(g)])
 
     def solve_at(self, mu: float) -> _MuSolution:
-        """Warm-started refinement solve."""
         if mu in self.solutions:
             return self.solutions[mu]
         warm = None
         if self.solutions:
             nearest = min(self.solutions, key=lambda m: abs(math.log(m / mu)))
-            warm = self.solutions[nearest].pool
-        return self._solve(mu, warm, fresh=1)
+            warm = self.solutions[nearest].effects
+        lam, f, rate, dist = _descend(self.obj, mu, self._starts(warm), self.opts)
+        best = int(np.argmin(f))
+        sol = _MuSolution(mu, float(rate[best]), float(dist[best]), lam[best])
+        self.solutions[mu] = sol
+        return sol
 
     def sweep(self) -> None:
-        if self._swept:
-            return
-        self._swept = True
-        warm = None
         for mu in self.opts.lagrange_grid:
-            sol = self._solve(mu, warm, fresh=1)
-            warm = sol.pool
+            self.solve_at(mu)
 
     def for_target(self, target: float) -> RdPoint | None:
         tol = self.opts.convergence_tol
@@ -442,13 +431,7 @@ class _LagrangianSolver:
             return self.obj.witness(trivial, self.opts.rng_seed)
         self.sweep()
 
-        candidates: list[tuple[float, float, np.ndarray]] = []  # (rate, dist, effects or g)
-
-        def record(sol: _MuSolution):
-            candidates.append((sol.rate, sol.dist, povm_effects_from_ginibre(sol.g)))
-
-        for sol in self.solutions.values():
-            record(sol)
+        mixes: list[tuple[float, float, np.ndarray]] = []  # (rate, dist, effects)
 
         def bracket():
             feas = [s for s in self.solutions.values() if s.dist <= target + tol]
@@ -461,14 +444,14 @@ class _LagrangianSolver:
         mu_grow = max(self.solutions) if self.solutions else 1.0
         while hi is None and mu_grow < MU_CAP:
             mu_grow *= 4.0
-            record(self.solve_at(mu_grow))
+            self.solve_at(mu_grow)
             lo, hi = bracket()
         if hi is None:
             return None  # target below everything the descent can reach
         mu_shrink = min(self.solutions)
         while lo is None and mu_shrink > 1e-4:
             mu_shrink /= 4.0
-            record(self.solve_at(mu_shrink))
+            self.solve_at(mu_shrink)
             lo, hi = bracket()
 
         for _ in range(16):
@@ -480,42 +463,21 @@ class _LagrangianSolver:
             # its rate sits on the chord, whose sag is bounded by the slope gap
             if lo.dist > target > hi.dist:
                 t = (lo.dist - target) / (lo.dist - hi.dist)
-                mixed = t * povm_effects_from_ginibre(hi.g) + (1.0 - t) * povm_effects_from_ginibre(lo.g)
-                r, d = self.obj.evaluate(mixed[None])
-                candidates.append((float(r[0]), float(d[0]), mixed))
+                mixed = t * hi.effects + (1.0 - t) * lo.effects
+                _, r, d, _ = self.obj.lagrangian(mixed[None], 0.0)
+                mixes.append((float(r[0]), float(d[0]), mixed))
                 if (lo.dist - hi.dist) * (hi.mu - lo.mu) / 8.0 <= self.RATE_MARGIN / 4.0:
                     break
             if hi.mu / lo.mu < 1.001:
                 break
-            sol = self.solve_at(math.sqrt(lo.mu * hi.mu))
-            record(sol)
+            self.solve_at(math.sqrt(lo.mu * hi.mu))
             lo, hi = bracket()
 
+        candidates = [(s.rate, s.dist, s.effects) for s in self.solutions.values()] + mixes
         feasible = [(r, d, e) for r, d, e in candidates if d <= target + tol]
         if not feasible:
             return None
         best = min(feasible, key=lambda c: (c[0], c[1]))
-
-        # polish: restart descent from the winning witness at the bracket slope,
-        # then re-select among old and polished candidates
-        if best[0] > 1e-12 and lo is not None:
-            mu_star = math.sqrt(lo.mu * hi.mu)
-            g, _, _, _ = _descend(self.obj, mu_star, _ginibre_root(best[2])[None], self.opts)
-            polished = povm_effects_from_ginibre(g[0])
-            r, d = self.obj.evaluate(polished[None])
-            r_pol, d_pol = float(r[0]), float(d[0])
-            if d_pol <= target + tol:
-                feasible.append((r_pol, d_pol, polished))
-            if (d_pol - target) * (best[1] - target) < 0.0:
-                # polished and previous best straddle the target: mix onto it
-                if d_pol < target:
-                    mixed = _mix_to_target(polished, d_pol, best[2], best[1], target)
-                else:
-                    mixed = _mix_to_target(best[2], best[1], polished, d_pol, target)
-                r, d = self.obj.evaluate(mixed[None])
-                if float(d[0]) <= target + tol:
-                    feasible.append((float(r[0]), float(d[0]), mixed))
-            best = min(feasible, key=lambda c: (c[0], c[1]))
         return self.obj.witness(best[2], self.opts.rng_seed)
 
 

@@ -35,6 +35,7 @@ from qcrd import (
     sample_random_povm,
     von_neumann_entropy,
 )
+from qcrd.checks import _marginal_cq, _product_purification
 from qcrd.cli import main
 from qcrd.states import CqState
 
@@ -198,28 +199,6 @@ def test_criterion_6_dephasing_monotonicity_and_pinching():
     report(6, "dephasing monotonicity",
            f"max MI increase {worst_mi:.2e}<=1e-9, max distortion change {worst_dist:.2e}<=1e-10, "
            f"1000 instances, {elapsed:.1f}s")
-
-
-def _product_purification(psi1, psi2):
-    from qcrd import Purification
-
-    w = np.einsum("ij,kl->ikjl", psi1.as_matrix(), psi2.as_matrix())
-    d_r = psi1.reference_dim * psi2.reference_dim
-    d_a = psi1.system_dims[0] * psi2.system_dims[0]
-    return Purification(w.reshape(-1), d_r, (d_a,))
-
-
-def _marginal_cq(sigma, ref_dims, keep, outcome_shape):
-    k1, k2 = outcome_shape
-    d = ref_dims[keep]
-    probs = np.zeros(outcome_shape[keep])
-    ops = [np.zeros((d, d), dtype=complex) for _ in range(outcome_shape[keep])]
-    for x, op in enumerate(sigma.conditional_ops):
-        x1, x2 = divmod(x, k2)
-        xi = x1 if keep == 0 else x2
-        probs[xi] += sigma.probs[x]
-        ops[xi] += partial_trace(op, list(ref_dims), [keep])
-    return CqState(probs, tuple(ops), (d,))
 
 
 def test_criterion_7_superadditivity():

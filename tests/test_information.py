@@ -237,6 +237,35 @@ class TestConditionalMutualInformation:
             conditional_mutual_information_cq(sigma)
 
 
+class TestConvexityInThePovm:
+    """I(X;R) = sum_x D(sigma_x || p_x rho_R) is jointly convex in the effects, and
+    I(X;R|B) = const - sum_x D(sigma_x || 1_R (x) Tr_R sigma_x) is too: rate
+    distortion over POVMs is a convex program in both settings."""
+
+    @pytest.mark.parametrize("side", [False, True])
+    def test_rate_of_a_mixture_is_below_the_chord(self, side):
+        rng = np.random.default_rng(31 if side else 30)
+        worst = -np.inf
+        if side:
+            induce, info = induced_cq_state_qsi, conditional_mutual_information_cq
+        else:
+            induce, info = induced_cq_state, mutual_information_cq
+        for _ in range(200):
+            dim = 2 if side else int(rng.integers(2, 4))
+            psi = purify_joint(random_density(rng, 4), (2, 2)) if side else purify(random_density(rng, dim))
+
+            def rate(povm):
+                return info(induce(psi, povm))
+
+            k = int(rng.integers(2, 4))
+            a = sample_random_povm(dim, k, rng.integers(2**63))
+            b = sample_random_povm(dim, k, rng.integers(2**63))
+            t = float(rng.uniform())
+            mixed = Povm(tuple(t * ea + (1.0 - t) * eb for ea, eb in zip(a.effects, b.effects)))
+            worst = max(worst, rate(mixed) - (t * rate(a) + (1.0 - t) * rate(b)))
+        assert worst <= 1e-10
+
+
 class TestSuperadditivity:
     @staticmethod
     def product_purification(psi1, psi2):

@@ -131,6 +131,10 @@ class TestParsing:
         {"lagrange_grid": [1.0, "2"]},
         {"lagrange_grid": [True]},
         {"convergence_tol": "1e-7"},
+        {"convergence_tol": float("inf")},
+        {"convergence_tol": float("nan")},
+        {"lagrange_grid": [1.0, float("inf")]},
+        {"lagrange_grid": [float("nan")]},
     ])
     def test_malformed_real_solver_options_rejected(self, solver):
         with pytest.raises(ProblemSpecError):

@@ -240,6 +240,44 @@ class TestMinimizeRate:
         assert mids.max() <= 1e-4
 
 
+class TestLagrangianGradient:
+    """The descent's analytic gradient of L = rate + mu * distortion against
+    central differences of the sweep's evaluation."""
+
+    @staticmethod
+    def _instances():
+        rng = np.random.default_rng(23)
+        yield purify(example_source()), example_observable(), 2.0
+        rho = random_density(rng, 3)
+        costs = rng.uniform(0.1, 2.0, size=(3, 2))
+        yield purify(rho), classical_cost_observable(costs, eig_hermitian(rho.mat).eigenvectors), 5.0
+        joint = random_density(rng, 4)
+        yield purify_joint(joint, (2, 2)), DistortionObservable(
+            tuple(random_density(rng, 8).mat * 1.5 for _ in range(2))), 30.0
+
+    def test_matches_central_differences(self):
+        from qcrd.solver import _Objective
+
+        rng = np.random.default_rng(29)
+        for psi, obs, mu in self._instances():
+            obj = _Objective(psi, obs, 2)
+            d = obj.system_dim
+            lam = np.stack(sample_random_povm(d, 2, rng.integers(2**63)).effects)
+            f, rate, dist, grad = obj.lagrangian(lam[None], mu)
+            r0, d0 = obj.evaluate(lam[None])
+            assert abs(rate[0] - r0[0]) < 1e-9 and abs(dist[0] - d0[0]) < 1e-12
+            assert abs(f[0] - (rate[0] + mu * dist[0])) < 1e-12
+            for _ in range(4):
+                h = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
+                h = (h + h.conj().swapaxes(-1, -2)) / 2
+                eps = 1e-5
+                rp, dp = obj.evaluate((lam + eps * h)[None])
+                rm, dm = obj.evaluate((lam - eps * h)[None])
+                numeric = float((rp + mu * dp - rm - mu * dm)[0]) / (2 * eps)
+                analytic = float(np.einsum("xab,xba->", grad[0], h).real)
+                assert abs(numeric - analytic) <= 1e-7 * max(1.0, abs(analytic))
+
+
 class TestMinimizeRateQsi:
     def test_trivial_side_factor_identical_to_plain(self):
         rng = np.random.default_rng(11)
@@ -439,6 +477,13 @@ class TestSolverOptions:
             SolverOptions(lagrange_grid=())
         with pytest.raises(ValueError):
             SolverOptions(lagrange_grid=(-1.0,))
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+    def test_non_finite_values_rejected(self, bad):
+        with pytest.raises(ValueError):
+            SolverOptions(convergence_tol=bad)
+        with pytest.raises(ValueError):
+            SolverOptions(lagrange_grid=(1.0, bad))
 
     def test_grid_sorted_on_construction(self):
         opts = SolverOptions(lagrange_grid=(3.0, 1.0, 2.0))
