@@ -9,7 +9,6 @@ from __future__ import annotations
 import argparse
 import json
 import math
-import os
 import sys
 
 import numpy as np
@@ -31,18 +30,6 @@ _QSI_METADATA = (
 
 def _fmt(value: float) -> str:
     return format(value, ".12g")
-
-
-def _resolve_threads(arg) -> int:
-    if arg is not None:
-        return max(1, int(arg))
-    env = os.environ.get("QCRD_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ProblemSpecError(f"QCRD_THREADS must be an integer: {exc}") from None
-    return 1
 
 
 def _load(args) -> ProblemSpec:
@@ -95,9 +82,9 @@ def cmd_sample(args) -> int:
     psi, delta, outcomes = problem.build()
     if args.outcomes is not None:
         outcomes = int(args.outcomes)
-    points = sample_sweep(psi, delta, outcomes, args.n, args.seed, threads=_resolve_threads(args.threads))
+    dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
     lines = ["distortion,rate_bits,seed_index"]
-    lines.extend(f"{_fmt(p.distortion)},{_fmt(p.rate)},{p.seed}" for p in points)
+    lines.extend(f"{_fmt(d)},{_fmt(r)},{i}" for i, (d, r) in enumerate(zip(dist.tolist(), rate.tolist())))
     _write_lines(args.out_csv, lines)
     return 0
 
@@ -126,8 +113,8 @@ def cmd_curve(args) -> int:
     if grid.min() < -1e-12 or grid.max() > delta.d_max + 1e-9:
         raise ProblemSpecError(f"grid must lie within [0, d_max={delta.d_max!r}]")
 
-    points = sample_sweep(psi, delta, outcomes, args.n, args.seed, threads=_resolve_threads(args.threads))
-    curve = lower_envelope(points, grid)
+    dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
+    curve = lower_envelope(dist, rate, grid)
     descent = minimize_rate_curve(psi, delta, grid, outcomes, problem.solver)
 
     lines = ["D,R_bits,method"]
@@ -137,8 +124,8 @@ def cmd_curve(args) -> int:
     if args.out_svg:
         from .svgfig import write_rd_svg
 
-        stride = max(1, len(points) // _MAX_SVG_POINTS)
-        cloud = [(p.distortion, p.rate) for p in points[::stride]]
+        stride = max(1, dist.size // _MAX_SVG_POINTS)
+        cloud = list(zip(dist[::stride].tolist(), rate[::stride].tolist()))
         envelope = [(d, r) for d, r in zip(grid, curve.rates) if math.isfinite(r)]
         write_rd_svg(args.out_svg, cloud, envelope)
     return 0
@@ -186,17 +173,17 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--preset", help=f"built-in problem (currently: {PAPER_PRESET})")
         p.add_argument("--spec", help="path to a JSON problem definition")
         p.add_argument("--outcomes", type=int, help="POVM outcome count override")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument("--threads", type=int, help="worker threads (or QCRD_THREADS)")
 
     p_sample = sub.add_parser("sample", help="Monte-Carlo POVM sweep to CSV")
     add_problem_flags(p_sample)
+    p_sample.add_argument("--seed", type=int, default=0, help="seed of the sample streams")
     p_sample.add_argument("--n", type=int, default=250_000, help="number of sampled POVMs")
     p_sample.add_argument("--out-csv", default="samples.csv")
     p_sample.set_defaults(func=cmd_sample)
 
     p_curve = sub.add_parser("curve", help="rate-distortion curve to CSV and SVG")
     add_problem_flags(p_curve)
+    p_curve.add_argument("--seed", type=int, default=0, help="seed of the sample streams")
     p_curve.add_argument("--n", type=int, default=250_000, help="samples behind the envelope")
     p_curve.add_argument("--grid", help="distortion grid: start:stop:step or comma list")
     p_curve.add_argument("--out-csv", default="curve.csv")

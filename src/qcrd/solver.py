@@ -31,7 +31,6 @@ witnessed by explicit POVMs; no lower bound is computed yet.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,28 +61,32 @@ class RdPoint:
     distortion: float
     rate: float
     povm: Povm | None = None
-    seed: int | None = None
 
 
 @dataclass(frozen=True)
 class RdCurve:
-    """Rates over a sorted distortion grid; ``inf`` marks unreachable values."""
+    """Rates over a sorted distortion grid; ``inf`` marks unreachable values.
+
+    ``witnesses`` holds, per grid point, the index of the sample behind the
+    rate, or -1 where the grid point is unreachable.  The fields are
+    read-only copies, so the caller's arrays stay writable.
+    """
 
     grid: np.ndarray
     rates: np.ndarray
-    witnesses: tuple[RdPoint | None, ...] = ()
+    witnesses: np.ndarray = ()
 
     def __post_init__(self):
-        g = np.asarray(self.grid, dtype=float)
-        r = np.asarray(self.rates, dtype=float)
+        g = np.array(self.grid, dtype=float)
+        r = np.array(self.rates, dtype=float)
+        w = np.array(self.witnesses, dtype=np.intp)
         if g.ndim != 1 or g.shape != r.shape:
             raise ValueError("grid and rates must be 1-D arrays of equal length")
-        if self.witnesses and len(self.witnesses) != g.size:
+        if w.size and w.shape != g.shape:
             raise ValueError("one witness entry per grid point is required")
-        g.setflags(write=False)
-        r.setflags(write=False)
-        object.__setattr__(self, "grid", g)
-        object.__setattr__(self, "rates", r)
+        for name, a in (("grid", g), ("rates", r), ("witnesses", w)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
 
 @dataclass(frozen=True)
@@ -214,12 +217,11 @@ class _Objective:
                   - np.einsum("rca,...cd,rdb->...ba", m3.conj(), log_side, m3)) / math.log(2.0)
         return rate + mu * dist, rate, dist, d_rate + mu * self.cost_gradient
 
-    def witness(self, effects: np.ndarray, seed: int) -> RdPoint:
+    def witness(self, effects: np.ndarray) -> RdPoint:
         """Reported point of the given effects, evaluated like the public functions."""
         povm = Povm(tuple(effects))
         sig = conditional_blocks(self.m, np.stack(povm.effects))
-        return RdPoint(reported_distortion(self.blocks, sig), cq_information(sig, self.side_dim),
-                       povm=povm, seed=seed)
+        return RdPoint(reported_distortion(self.blocks, sig), cq_information(sig, self.side_dim), povm=povm)
 
     def zero_rate_point(self) -> tuple[float, np.ndarray]:
         """Best trivial POVM: a single identity effect on the cheapest label."""
@@ -233,76 +235,60 @@ class _Objective:
 # Monte-Carlo sweep and lower envelope
 
 
-def _sweep_chunk(obj: _Objective, seed, start: int, count: int) -> tuple[np.ndarray, np.ndarray]:
-    shape = (obj.outcomes, obj.system_dim, obj.system_dim)
-    g = np.empty((count,) + shape, dtype=complex)
-    for j in range(count):
-        rng = np.random.default_rng((seed, start + j))
-        g[j] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-    return obj.evaluate(povm_effects_from_ginibre(g))
-
-
 def sample_sweep(
     psi: Purification,
     delta: DistortionObservable,
     outcomes: int,
     n_samples: int,
     seed: int,
-    threads: int = 1,
-) -> list[RdPoint]:
-    """One (distortion, I(X;R)) point per random POVM; I(X;R|B) for a
-    tripartite purification.
+) -> tuple[np.ndarray, np.ndarray]:
+    """(distortion, rate) arrays with one entry per random POVM; the rate is
+    I(X;R), or I(X;R|B) for a tripartite purification.
 
-    Sample ``i`` draws from the stream keyed by ``(seed, i)`` — identical to
-    ``sample_random_povm(dim, outcomes, (seed, i))`` — so the output is
-    deterministic regardless of chunking or thread count.
+    Sample ``i`` sits at position ``i`` and draws from the stream keyed by
+    ``(seed, i)`` — identical to ``sample_random_povm(dim, outcomes, (seed, i))``
+    — so the output does not depend on the chunking.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
     obj = _Objective(psi, delta, outcomes)
-    jobs = [(s, min(_SWEEP_CHUNK, n_samples - s)) for s in range(0, n_samples, _SWEEP_CHUNK)]
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=int(threads)) as pool:
-            parts = list(pool.map(lambda sc: _sweep_chunk(obj, seed, sc[0], sc[1]), jobs))
-    else:
-        parts = [_sweep_chunk(obj, seed, s, c) for s, c in jobs]
-    points: list[RdPoint] = []
-    index = 0
-    for rate, dist in parts:
-        for j in range(rate.size):
-            points.append(RdPoint(float(dist[j]), float(rate[j]), seed=index))
-            index += 1
-    return points
+    shape = (obj.outcomes, obj.system_dim, obj.system_dim)
+    dist, rate = np.empty(n_samples), np.empty(n_samples)
+    for start in range(0, n_samples, _SWEEP_CHUNK):
+        stop = min(start + _SWEEP_CHUNK, n_samples)
+        g = np.empty((stop - start,) + shape, dtype=complex)
+        for i in range(start, stop):
+            rng = np.random.default_rng((seed, i))
+            g[i - start] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        rate[start:stop], dist[start:stop] = obj.evaluate(povm_effects_from_ginibre(g))
+    return dist, rate
 
 
-def lower_envelope(points: list[RdPoint], grid) -> RdCurve:
-    """Minimum rate among points with distortion <= D, for each grid D.
+def lower_envelope(distortion, rate, grid) -> RdCurve:
+    """Minimum rate among samples with distortion <= D, for each grid D.
 
     The prefix minimum over a growing feasible set is automatically monotone
-    non-increasing.  Grid values below every sampled distortion get ``inf``
-    and no witness.
+    non-increasing.  Each grid value's witness is the index of the first
+    argmin: smallest distortion, then lowest index.  Grid values below every
+    sampled distortion get ``inf`` and witness -1.
     """
-    if not points:
-        raise ValueError("lower_envelope needs at least one point")
+    d = np.asarray(distortion, dtype=float)
+    r = np.asarray(rate, dtype=float)
+    if d.ndim != 1 or d.size == 0 or d.shape != r.shape:
+        raise ValueError("distortion and rate must be nonempty 1-D arrays of equal length")
     g = np.asarray(grid, dtype=float)
-    if g.ndim != 1 or g.size == 0 or np.any(np.diff(g) < 0):
-        raise ValueError("grid must be a nonempty sorted 1-D array")
-    d = np.array([p.distortion for p in points])
-    r = np.array([p.rate for p in points])
+    if g.ndim != 1 or g.size == 0 or not np.isfinite(g).all() or np.any(np.diff(g) < 0):
+        raise ValueError("grid must be a nonempty sorted 1-D array of finite values")
     order = np.argsort(d, kind="stable")
-    ds, rs = d[order], r[order]
+    rs = r[order]
     prefix = np.minimum.accumulate(rs)
-    pos = np.searchsorted(ds, g, side="right") - 1
-    rates = np.where(pos >= 0, prefix[np.maximum(pos, 0)], np.inf)
-    witnesses: list[RdPoint | None] = []
-    for p_idx in pos:
-        if p_idx < 0:
-            witnesses.append(None)
-        else:
-            # first argmin = smallest distortion, then lowest seed (stable sort)
-            j = int(np.argmin(rs[: p_idx + 1]))
-            witnesses.append(points[order[j]])
-    return RdCurve(g, rates, tuple(witnesses))
+    # position of the first argmin of rs[:j + 1]: the last strict new minimum
+    first_min = np.maximum.accumulate(np.where(np.r_[True, rs[1:] < prefix[:-1]], np.arange(d.size), 0))
+    pos = np.searchsorted(d[order], g, side="right") - 1
+    reached = pos >= 0
+    rates = np.where(reached, prefix[np.maximum(pos, 0)], np.inf)
+    witnesses = np.where(reached, order[first_min[np.maximum(pos, 0)]], -1)
+    return RdCurve(g, rates, witnesses)
 
 
 # ---------------------------------------------------------------------------
@@ -428,7 +414,7 @@ class _LagrangianSolver:
         tol = self.opts.convergence_tol
         d0, trivial = self.obj.zero_rate_point()
         if d0 <= target + tol:
-            return self.obj.witness(trivial, self.opts.rng_seed)
+            return self.obj.witness(trivial)
         self.sweep()
 
         mixes: list[tuple[float, float, np.ndarray]] = []  # (rate, dist, effects)
@@ -478,7 +464,7 @@ class _LagrangianSolver:
         if not feasible:
             return None
         best = min(feasible, key=lambda c: (c[0], c[1]))
-        return self.obj.witness(best[2], self.opts.rng_seed)
+        return self.obj.witness(best[2])
 
 
 def minimize_rate(

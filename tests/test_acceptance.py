@@ -10,7 +10,6 @@ import numpy as np
 from qcrd import (
     DensityOperator,
     Povm,
-    RdPoint,
     SolverOptions,
     blahut_arimoto,
     classical_cost_observable,
@@ -99,12 +98,10 @@ def test_criterion_3_figure_reproduction(tmp_path):
 
     rows = out.read_text(encoding="utf-8").splitlines()[1:]
     assert len(rows) == 250000
-    points = []
-    for row in rows:
-        d_str, r_str, seed_str = row.split(",")
-        points.append(RdPoint(float(d_str), float(r_str), seed=int(seed_str)))
+    table = np.array([row.split(",") for row in rows], dtype=float)
+    assert np.array_equal(table[:, 2], np.arange(250000))
     grid = 0.01 * np.arange(26)
-    curve = lower_envelope(points, grid)
+    curve = lower_envelope(table[:, 0], table[:, 1], grid)
     finite = curve.rates[np.isfinite(curve.rates)]
     assert np.all(np.diff(finite) <= 1e-6)
     env_024 = curve.rates[24]

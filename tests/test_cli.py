@@ -50,19 +50,6 @@ class TestSample:
         assert main(argv + ["--out-csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_threads_do_not_change_output(self, tmp_path):
-        a, b = tmp_path / "a.csv", tmp_path / "b.csv"
-        argv = ["sample", "--preset", "paper-example", "--n", "6000", "--seed", "3"]
-        assert main(argv + ["--out-csv", str(a), "--threads", "1"]) == 0
-        assert main(argv + ["--out-csv", str(b), "--threads", "4"]) == 0
-        assert a.read_bytes() == b.read_bytes()
-
-    def test_env_thread_fallback(self, tmp_path, monkeypatch):
-        monkeypatch.setenv("QCRD_THREADS", "2")
-        out = tmp_path / "samples.csv"
-        assert main(["sample", "--preset", "paper-example", "--n", "64", "--seed", "1",
-                     "--out-csv", str(out)]) == 0
-
     def test_lf_line_endings_and_utf8(self, tmp_path):
         out = tmp_path / "samples.csv"
         main(["sample", "--preset", "paper-example", "--n", "10", "--seed", "0",
@@ -215,6 +202,16 @@ class TestQsiCurve:
         header, rows = read_rows(out)
         assert header == "D,R_bits,method"
         assert len(rows) == 3
+
+    @pytest.mark.parametrize("flag", [["--seed", "3"], ["--threads", "2"]])
+    def test_sample_stream_flags_rejected(self, tmp_path, capsys, flag):
+        # the descent seed is the spec's solver.rng_seed; no flag overrides it
+        spec = self.qsi_spec(tmp_path)
+        with pytest.raises(SystemExit) as exc:
+            main(["qsi-curve", "--spec", spec, "--out-csv", str(tmp_path / "q.csv")] + flag)
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err
+        assert not (tmp_path / "q.csv").exists()
 
     def test_missing_side_info_is_an_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"schema": 1, "source": "paper-example",

@@ -9,7 +9,7 @@ from qcrd import (
     InvalidDistribution,
     Povm,
     Purification,
-    RdPoint,
+    RdCurve,
     SolverOptions,
     blahut_arimoto,
     classical_cost_observable,
@@ -401,70 +401,111 @@ class TestSampleSweep:
         obs = example_observable()
         a = sample_sweep(psi, obs, 2, 64, seed=5)
         b = sample_sweep(psi, obs, 2, 64, seed=5)
-        assert [(p.distortion, p.rate, p.seed) for p in a] == [(q.distortion, q.rate, q.seed) for q in b]
+        assert np.array_equal(a[0], b[0]) and np.array_equal(a[1], b[1])
 
-    def test_threads_do_not_change_results(self):
+    def test_columnar_arrays_across_chunks(self):
         psi = purify(example_source())
-        obs = example_observable()
-        a = sample_sweep(psi, obs, 2, 5000, seed=5)
-        b = sample_sweep(psi, obs, 2, 5000, seed=5, threads=3)
-        assert [(p.distortion, p.rate) for p in a] == [(q.distortion, q.rate) for q in b]
+        dist, rate = sample_sweep(psi, example_observable(), 2, 4100, seed=5)
+        assert dist.shape == rate.shape == (4100,)
+        assert dist.dtype == rate.dtype == np.float64
+        tail = sample_random_povm(2, 2, (5, 4099))
+        assert abs(dist[-1] - distortion(psi, tail, example_observable())) < 1e-10
 
     def test_matches_per_sample_povm_construction(self):
         psi = purify(example_source())
         obs = example_observable()
-        points = sample_sweep(psi, obs, 2, 10, seed=11)
+        dist, rate = sample_sweep(psi, obs, 2, 10, seed=11)
         for i in (0, 3, 9):
             povm = sample_random_povm(2, 2, (11, i))
             d = distortion(psi, povm, obs)
             r = mutual_information_cq(induced_cq_state(psi, povm))
-            assert abs(points[i].distortion - d) < 1e-10
-            assert abs(points[i].rate - r) < 1e-10
+            assert abs(dist[i] - d) < 1e-10
+            assert abs(rate[i] - r) < 1e-10
 
     def test_rates_within_qubit_bounds(self):
         psi = purify(example_source())
-        points = sample_sweep(psi, example_observable(), 2, 2000, seed=3)
-        rates = np.array([p.rate for p in points])
+        _, rates = sample_sweep(psi, example_observable(), 2, 2000, seed=3)
         assert rates.min() >= -1e-9
         assert rates.max() <= 1.0 + 1e-9
 
     def test_single_sample(self):
-        points = sample_sweep(purify(example_source()), example_observable(), 2, 1, seed=0)
-        assert len(points) == 1 and points[0].seed == 0
+        dist, rate = sample_sweep(purify(example_source()), example_observable(), 2, 1, seed=0)
+        assert dist.shape == rate.shape == (1,)
 
 
 class TestLowerEnvelope:
     def test_single_point(self):
-        curve = lower_envelope([RdPoint(0.25, 0.0)], np.array([0.1, 0.25, 0.3]))
+        curve = lower_envelope([0.25], [0.0], np.array([0.1, 0.25, 0.3]))
         assert math.isinf(curve.rates[0])
         assert curve.rates[1] == 0.0 and curve.rates[2] == 0.0
-        assert curve.witnesses[0] is None
+        assert curve.witnesses.tolist() == [-1, 0, 0]
 
     def test_two_points(self):
-        pts = [RdPoint(0.1, 0.5), RdPoint(0.2, 0.3)]
-        curve = lower_envelope(pts, np.array([0.05, 0.1, 0.15, 0.2, 0.5]))
+        curve = lower_envelope(np.array([0.1, 0.2]), np.array([0.5, 0.3]),
+                               np.array([0.05, 0.1, 0.15, 0.2, 0.5]))
         assert math.isinf(curve.rates[0])
         assert np.allclose(curve.rates[1:], [0.5, 0.5, 0.3, 0.3])
+        assert curve.witnesses.tolist() == [-1, 0, 0, 1, 1]
 
     def test_monotone_for_random_clouds(self):
         rng = np.random.default_rng(19)
-        pts = [RdPoint(float(d), float(r)) for d, r in rng.uniform(0, 1, size=(500, 2))]
-        curve = lower_envelope(pts, np.linspace(0, 1, 21))
+        d, r = rng.uniform(0, 1, size=(2, 500))
+        curve = lower_envelope(d, r, np.linspace(0, 1, 21))
         finite = curve.rates[np.isfinite(curve.rates)]
         assert np.all(np.diff(finite) <= 1e-12)
 
     def test_witness_tie_break_prefers_smaller_distortion(self):
-        pts = [RdPoint(0.3, 0.2, seed=0), RdPoint(0.1, 0.2, seed=1)]
-        curve = lower_envelope(pts, np.array([0.4]))
-        assert curve.witnesses[0].seed == 1
+        curve = lower_envelope([0.3, 0.1], [0.2, 0.2], np.array([0.4]))
+        assert curve.witnesses[0] == 1
+
+    def test_witnesses_match_first_argmin_loop(self):
+        # coarse values force ties in distortion and in rate
+        rng = np.random.default_rng(23)
+        for _ in range(200):
+            n = int(rng.integers(1, 30))
+            d, r = rng.integers(0, 5, n) / 10, rng.integers(0, 4, n) / 4
+            grid = np.sort(rng.integers(-1, 6, int(rng.integers(1, 8))) / 10)
+            curve = lower_envelope(d, r, grid)
+            for g, rate, w in zip(grid, curve.rates, curve.witnesses):
+                feasible = [i for i in range(n) if d[i] <= g]
+                if not feasible:
+                    assert w == -1 and math.isinf(rate)
+                    continue
+                best = min(feasible, key=lambda i: (r[i], d[i], i))
+                assert w == best and rate == r[best]
 
     def test_empty_points_rejected(self):
         with pytest.raises(ValueError):
-            lower_envelope([], np.array([0.1]))
+            lower_envelope([], [], np.array([0.1]))
+
+    def test_unequal_lengths_rejected(self):
+        with pytest.raises(ValueError):
+            lower_envelope([0.1, 0.2], [0.1], np.array([0.1]))
+
+    def test_non_1d_samples_rejected(self):
+        with pytest.raises(ValueError):
+            lower_envelope(np.array([[0.1, 0.2]]), np.array([[0.1, 0.2]]), np.array([0.1]))
 
     def test_unsorted_grid_rejected(self):
         with pytest.raises(ValueError):
-            lower_envelope([RdPoint(0.1, 0.1)], np.array([0.2, 0.1]))
+            lower_envelope([0.1], [0.1], np.array([0.2, 0.1]))
+
+    def test_non_finite_grid_rejected(self):
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                lower_envelope([0.1], [0.1], np.array([0.05, bad]))
+
+    def test_caller_arrays_stay_writable(self):
+        d, r, grid = np.array([0.1, 0.2]), np.array([0.5, 0.3]), np.array([0.1, 0.3])
+        curve = lower_envelope(d, r, grid)
+        grid[0] = 0.05
+        d[0] = r[0] = 0.0
+        assert curve.grid[0] == 0.1
+        rates = np.array([0.5, 0.3])
+        RdCurve(grid, rates)
+        grid[1] = rates[1] = 0.2
+        with pytest.raises(ValueError):
+            curve.rates[0] = 1.0
 
 
 class TestSolverOptions:
