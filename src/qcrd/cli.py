@@ -80,8 +80,6 @@ def _write_lines(path: str, lines: list[str]) -> None:
 def cmd_sample(args) -> int:
     problem = _load(args)
     psi, delta, outcomes = problem.build()
-    if args.outcomes is not None:
-        outcomes = int(args.outcomes)
     dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
     lines = ["distortion,rate_bits,seed_index"]
     lines.extend(f"{_fmt(d)},{_fmt(r)},{i}" for i, (d, r) in enumerate(zip(dist.tolist(), rate.tolist())))
@@ -107,8 +105,6 @@ def _curve_rows(grid, env_rates, descent_points):
 def cmd_curve(args) -> int:
     problem = _load(args)
     psi, delta, outcomes = problem.build()
-    if args.outcomes is not None:
-        outcomes = int(args.outcomes)
     grid = _parse_grid(args.grid) if args.grid else _default_grid(problem, delta.d_max)
     if grid.min() < -1e-12 or grid.max() > delta.d_max + 1e-9:
         raise ProblemSpecError(f"grid must lie within [0, d_max={delta.d_max!r}]")
@@ -136,8 +132,6 @@ def cmd_qsi_curve(args) -> int:
     if not problem.has_side_info:
         raise ProblemSpecError("qsi-curve needs a problem definition with side_info")
     psi, delta, outcomes = problem.build_qsi()
-    if args.outcomes is not None:
-        outcomes = int(args.outcomes)
     grid = _parse_grid(args.grid) if args.grid else _default_grid(problem, delta.d_max)
     if grid.min() < -1e-12 or grid.max() > delta.d_max + 1e-9:
         raise ProblemSpecError(f"grid must lie within [0, d_max={delta.d_max!r}]")
@@ -172,7 +166,6 @@ def build_parser() -> argparse.ArgumentParser:
     def add_problem_flags(p):
         p.add_argument("--preset", help=f"built-in problem (currently: {PAPER_PRESET})")
         p.add_argument("--spec", help="path to a JSON problem definition")
-        p.add_argument("--outcomes", type=int, help="POVM outcome count override")
 
     p_sample = sub.add_parser("sample", help="Monte-Carlo POVM sweep to CSV")
     add_problem_flags(p_sample)

@@ -19,6 +19,11 @@ distortion of POVMs on the system factor A, with the purification read as
 (R, A, B).  A bipartite purification is the d_B = 1 case, where I(X;R|B) is
 I(X;R), so the number of system factors alone decides the setting.
 
+Every sampled and reported rate comes from :func:`~qcrd.information.cq_information`,
+the function behind ``mutual_information_cq`` and its conditional variant:
+sample ``i`` of :func:`sample_sweep` has, bit for bit, the rate they give
+``sample_random_povm(d, k, (seed, i))``.
+
 L is convex in the effects: I(X;R) = sum_x D(sigma_x || p_x rho_R) with
 sigma_x linear in the effects, I(X;R|B) = const - sum_x D(sigma_x || 1_R (x)
 Tr_R sigma_x) by joint convexity of relative entropy, and distortion is
@@ -110,55 +115,7 @@ class SolverOptions:
 
 
 # ---------------------------------------------------------------------------
-# batched evaluation of (rate, distortion) for stacked POVM effects
-
-
-def _eigvals_stacked(mats: np.ndarray) -> np.ndarray:
-    """Eigenvalues of stacked Hermitian matrices, closed forms for d <= 3.
-
-    Only :meth:`_Objective.evaluate`, and so only :func:`sample_sweep`, uses
-    these: they are 11-40x faster than LAPACK for d <= 3 but off by up to
-    ~1e-7 bits near rank deficiency, so the descent and every reported value
-    use LAPACK instead.
-    """
-    d = mats.shape[-1]
-    if d > 3:
-        return np.linalg.eigvalsh(mats)
-    if d == 1:
-        return mats[..., 0, 0].real.copy()[..., None]
-    if d == 2:
-        a = mats[..., 0, 0].real
-        c = mats[..., 1, 1].real
-        b = mats[..., 0, 1]
-        half = (a + c) / 2.0
-        gap = np.sqrt(((a - c) / 2.0) ** 2 + b.real**2 + b.imag**2)
-        return np.stack([half - gap, half + gap], axis=-1)
-    return _eigvals3(mats)
-
-
-def _eigvals3(m: np.ndarray) -> np.ndarray:
-    """Closed-form (trigonometric) eigenvalues of Hermitian 3x3 stacks."""
-    a00, a11, a22 = m[..., 0, 0].real, m[..., 1, 1].real, m[..., 2, 2].real
-    a01, a02, a12 = m[..., 0, 1], m[..., 0, 2], m[..., 1, 2]
-    n01 = a01.real**2 + a01.imag**2
-    n02 = a02.real**2 + a02.imag**2
-    n12 = a12.real**2 + a12.imag**2
-    q = (a00 + a11 + a22) / 3.0
-    b00, b11, b22 = a00 - q, a11 - q, a22 - q
-    p = np.sqrt(np.maximum(b00**2 + b11**2 + b22**2 + 2.0 * (n01 + n02 + n12), 0.0) / 6.0)
-    det = (
-        b00 * b11 * b22
-        + 2.0 * (a01 * a12 * a02.conj()).real
-        - b00 * n12
-        - b11 * n02
-        - b22 * n01
-    )
-    safe = np.where(p > 0.0, p, 1.0)
-    r = np.clip(det / (2.0 * safe**3), -1.0, 1.0)
-    phi = np.arccos(r) / 3.0
-    e_hi = q + 2.0 * p * np.cos(phi)
-    e_lo = q + 2.0 * p * np.cos(phi + 2.0 * np.pi / 3.0)
-    return np.stack([e_lo, 3.0 * q - e_hi - e_lo, e_hi], axis=-1)
+# the objective shared by the sweep and the descent
 
 
 def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
@@ -167,10 +124,11 @@ def _spectral(v: np.ndarray, values: np.ndarray) -> np.ndarray:
 
 
 class _Objective:
-    """Batched I(X;R|B) and distortion for POVMs acting on the system factor A.
+    """I(X;R|B) and distortion of POVMs acting on the system factor A.
 
     A bipartite purification is the d_B = 1 case, where I(X;R|B) = I(X;R);
-    the observable's blocks act on R (x) B.
+    the observable's blocks act on R (x) B.  :meth:`lagrangian` serves the
+    descent; every reported value is recomputed by :meth:`witness`.
     """
 
     def __init__(self, psi: Purification, delta: DistortionObservable, outcomes: int):
@@ -187,15 +145,9 @@ class _Objective:
         self.m = psi.measured_matrix()
         self.blocks = np.stack(delta.blocks)
         rho = self.m @ self.m.conj().T
-        self.h_const = float(entropy_gap(rho[None], self.side_dim, np.linalg.eigvalsh))
+        self.h_const = float(entropy_gap(rho[None], self.side_dim))
         self.block_means = np.einsum("xij,ji->x", self.blocks, rho).real
         self.cost_gradient = np.einsum("ra,xrs,sb->xba", self.m.conj(), self.blocks, self.m)
-
-    def evaluate(self, lam: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """lam: (..., k, dA, dA) stacked effects -> (rate, distortion), each (...)."""
-        sig = conditional_blocks(self.m, lam)
-        rate = self.h_const - entropy_gap(sig, self.side_dim, _eigvals_stacked)
-        return rate, expected_cost(self.blocks, sig)
 
     def lagrangian(self, lam: np.ndarray, mu: float):
         """L = rate + mu * distortion of effects (n, k, dA, dA) on LAPACK eigh,
@@ -221,7 +173,7 @@ class _Objective:
         """Reported point of the given effects, evaluated like the public functions."""
         povm = Povm(tuple(effects))
         sig = conditional_blocks(self.m, np.stack(povm.effects))
-        return RdPoint(reported_distortion(self.blocks, sig), cq_information(sig, self.side_dim), povm=povm)
+        return RdPoint(reported_distortion(self.blocks, sig), float(cq_information(sig, self.side_dim)), povm=povm)
 
     def zero_rate_point(self) -> tuple[float, np.ndarray]:
         """Best trivial POVM: a single identity effect on the cheapest label."""
@@ -260,7 +212,9 @@ def sample_sweep(
         for i in range(start, stop):
             rng = np.random.default_rng((seed, i))
             g[i - start] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
-        rate[start:stop], dist[start:stop] = obj.evaluate(povm_effects_from_ginibre(g))
+        sig = conditional_blocks(obj.m, povm_effects_from_ginibre(g))
+        rate[start:stop] = cq_information(sig, obj.side_dim)
+        dist[start:stop] = expected_cost(obj.blocks, sig)
     return dist, rate
 
 
@@ -276,6 +230,8 @@ def lower_envelope(distortion, rate, grid) -> RdCurve:
     r = np.asarray(rate, dtype=float)
     if d.ndim != 1 or d.size == 0 or d.shape != r.shape:
         raise ValueError("distortion and rate must be nonempty 1-D arrays of equal length")
+    if not (np.isfinite(d).all() and np.isfinite(r).all()):
+        raise ValueError("distortion and rate samples must be finite")
     g = np.asarray(grid, dtype=float)
     if g.ndim != 1 or g.size == 0 or not np.isfinite(g).all() or np.any(np.diff(g) < 0):
         raise ValueError("grid must be a nonempty sorted 1-D array of finite values")
@@ -556,7 +512,8 @@ def blahut_arimoto(p, costs, target_d: float, tol: float = 1e-9) -> float | None
     Bisects the Lagrange slope until the fixed-slope distortion hits
     ``target_d`` within ``tol``; when the curve has a linear segment the
     bracket endpoints are chord-interpolated instead.  Returns ``None`` when
-    the target lies below the minimal achievable distortion.
+    the target lies below the minimal achievable distortion; a NaN target or
+    a non-finite cost raises ``ValueError``.
     """
     pa = np.asarray(p, dtype=float).reshape(-1)
     if pa.size == 0 or not np.isfinite(pa).all() or float(pa.min()) < -1e-12:
@@ -566,14 +523,18 @@ def blahut_arimoto(p, costs, target_d: float, tol: float = 1e-9) -> float | None
     c = np.asarray(costs, dtype=float)
     if c.ndim != 2 or c.shape[0] != pa.size:
         raise DimensionMismatch(f"cost matrix shape {c.shape} does not match {pa.size} source letters")
+    if not np.isfinite(c).all():
+        raise ValueError("cost entries must be finite")
     if float(c.min()) < 0.0:
         raise ValueError(f"negative cost entry {c.min()!r}")
+    target = float(target_d)
+    if math.isnan(target):
+        raise ValueError("target distortion is NaN")
     pa = np.clip(pa, 0.0, None)
     pa /= pa.sum()
 
     d_floor = float((pa * c.min(axis=1)).sum())
     d_zero = float((pa @ c).min())
-    target = float(target_d)
     if target < d_floor - max(tol, 1e-12):
         return None
     if target >= d_zero - 1e-12:

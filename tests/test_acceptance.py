@@ -90,7 +90,7 @@ def test_criterion_2_classical_saturation():
 def test_criterion_3_figure_reproduction(tmp_path):
     start = time.monotonic()
     out = tmp_path / "samples.csv"
-    code = main(["sample", "--preset", "paper-example", "--n", "250000", "--outcomes", "2",
+    code = main(["sample", "--preset", "paper-example", "--n", "250000",
                  "--seed", "2024", "--out-csv", str(out)])
     elapsed = time.monotonic() - start
     assert code == 0

@@ -71,11 +71,15 @@ class TestSample:
                      "--out-csv", str(tmp_path / "x.csv")])
         assert code == 1
 
-    def test_outcome_override_mismatch_fails_cleanly(self, tmp_path, capsys):
-        code = main(["sample", "--preset", "paper-example", "--n", "10",
-                     "--outcomes", "3", "--out-csv", str(tmp_path / "x.csv")])
-        assert code == 1
-        assert "outcomes" in capsys.readouterr().err
+    def test_outcomes_flag_rejected(self, tmp_path, capsys):
+        # the outcome count is the observable's block count; no flag overrides it
+        for command in ("sample", "curve", "qsi-curve"):
+            out = tmp_path / f"{command}.csv"
+            with pytest.raises(SystemExit) as exc:
+                main([command, "--preset", "paper-example", "--outcomes", "2", "--out-csv", str(out)])
+            assert exc.value.code == 2
+            assert "unrecognized arguments" in capsys.readouterr().err
+            assert not out.exists()
 
 
 class TestCurve:

@@ -120,10 +120,25 @@ class TestBlahutArimoto:
         with pytest.raises(ValueError):
             blahut_arimoto(np.array([0.5, 0.5]), -HAMMING, 0.1)
 
+    def test_rejects_nan_target(self):
+        with pytest.raises(ValueError):
+            blahut_arimoto(np.array([0.5, 0.5]), HAMMING, math.nan)
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf])
+    def test_rejects_non_finite_costs(self, bad):
+        costs = HAMMING.copy()
+        costs[0, 1] = bad
+        with pytest.raises(ValueError):
+            blahut_arimoto(np.array([0.5, 0.5]), costs, 0.1)
+
 
 class TestClassicalStrategy:
     def test_example_is_infeasible_below_quarter(self):
         assert classical_strategy_rate(example_source(), example_observable(), 0.2) is None
+
+    def test_nan_target_rejected(self):
+        with pytest.raises(ValueError):
+            classical_strategy_rate(example_source(), example_observable(), math.nan)
 
     def test_example_reaches_zero_rate_at_quarter(self):
         got = classical_strategy_rate(example_source(), example_observable(), 0.25)
@@ -168,9 +183,9 @@ class TestMinimizeRate:
             assert abs(d_check - point.distortion) < 1e-10
             assert abs(r_check - point.rate) < 1e-10
             assert point.distortion <= target + 1e-6
-        # d=3 pure source: every block is rank 1, where the descent's
-        # closed-form eigenvalues are off by ~1e-7 bits; the reported zero
-        # rate must still be the exact (LAPACK) value
+        # d=3 pure source: every block is rank 1, where a trigonometric
+        # closed form for 3x3 eigenvalues is off by ~1e-7 bits; the reported
+        # zero rate must be the public function's value, bit for bit
         rng = np.random.default_rng(404)
         v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
         rho = DensityOperator(np.outer(v, v.conj()) / np.vdot(v, v).real)
@@ -242,7 +257,9 @@ class TestMinimizeRate:
 
 class TestLagrangianGradient:
     """The descent's analytic gradient of L = rate + mu * distortion against
-    central differences of the sweep's evaluation."""
+    central differences of L itself.  The perturbed effects are not a POVM;
+    ``lagrangian`` holds H(RB) at its value for the source, as the descent
+    does, so L stays the function the gradient differentiates."""
 
     @staticmethod
     def _instances():
@@ -256,7 +273,10 @@ class TestLagrangianGradient:
             tuple(random_density(rng, 8).mat * 1.5 for _ in range(2))), 30.0
 
     def test_matches_central_differences(self):
+        from qcrd.distortion import expected_cost
+        from qcrd.information import cq_information
         from qcrd.solver import _Objective
+        from qcrd.states import conditional_blocks
 
         rng = np.random.default_rng(29)
         for psi, obs, mu in self._instances():
@@ -264,16 +284,17 @@ class TestLagrangianGradient:
             d = obj.system_dim
             lam = np.stack(sample_random_povm(d, 2, rng.integers(2**63)).effects)
             f, rate, dist, grad = obj.lagrangian(lam[None], mu)
-            r0, d0 = obj.evaluate(lam[None])
-            assert abs(rate[0] - r0[0]) < 1e-9 and abs(dist[0] - d0[0]) < 1e-12
+            sig = conditional_blocks(obj.m, lam)
+            assert abs(rate[0] - cq_information(sig, obj.side_dim)) < 1e-9
+            assert dist[0] == expected_cost(obj.blocks, sig)
             assert abs(f[0] - (rate[0] + mu * dist[0])) < 1e-12
             for _ in range(4):
                 h = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
                 h = (h + h.conj().swapaxes(-1, -2)) / 2
                 eps = 1e-5
-                rp, dp = obj.evaluate((lam + eps * h)[None])
-                rm, dm = obj.evaluate((lam - eps * h)[None])
-                numeric = float((rp + mu * dp - rm - mu * dm)[0]) / (2 * eps)
+                fp = obj.lagrangian((lam + eps * h)[None], mu)[0]
+                fm = obj.lagrangian((lam - eps * h)[None], mu)[0]
+                numeric = float((fp - fm)[0]) / (2 * eps)
                 analytic = float(np.einsum("xab,xba->", grad[0], h).real)
                 assert abs(numeric - analytic) <= 1e-7 * max(1.0, abs(analytic))
 
@@ -411,16 +432,39 @@ class TestSampleSweep:
         tail = sample_random_povm(2, 2, (5, 4099))
         assert abs(dist[-1] - distortion(psi, tail, example_observable())) < 1e-10
 
+    @staticmethod
+    def _sweep_instances():
+        """(purification, observable, public rate of a POVM, public distortion)
+        on the paper example, a pure qutrit and a (2, 2) side factor."""
+        yield (purify(example_source()), example_observable(),
+               lambda psi, povm: mutual_information_cq(induced_cq_state(psi, povm)), distortion)
+        # every block of a pure source is rank 1, where a trigonometric 3x3
+        # closed form is off by ~1e-7 bits
+        rng = np.random.default_rng(404)
+        v = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+        rho = DensityOperator(np.outer(v, v.conj()) / np.vdot(v, v).real)
+        obs = classical_cost_observable(np.array([[0.3, 1.0], [1.0, 0.0], [0.0, 0.6]]),
+                                        eig_hermitian(rho.mat).eigenvectors)
+        yield (purify(rho), obs,
+               lambda psi, povm: mutual_information_cq(induced_cq_state(psi, povm)), distortion)
+        rng = np.random.default_rng(17)
+        psi = purify_joint(random_density(rng, 4), (2, 2))
+        obs = DistortionObservable(tuple(random_density(rng, 8).mat * 1.5 for _ in range(2)))
+        yield (psi, obs,
+               lambda psi, povm: conditional_mutual_information_cq(induced_cq_state_qsi(psi, povm)),
+               distortion_qsi)
+
     def test_matches_per_sample_povm_construction(self):
-        psi = purify(example_source())
-        obs = example_observable()
-        dist, rate = sample_sweep(psi, obs, 2, 10, seed=11)
-        for i in (0, 3, 9):
-            povm = sample_random_povm(2, 2, (11, i))
-            d = distortion(psi, povm, obs)
-            r = mutual_information_cq(induced_cq_state(psi, povm))
-            assert abs(dist[i] - d) < 1e-10
-            assert abs(rate[i] - r) < 1e-10
+        # one rate function: sample i's rate is the public function's rate of
+        # its POVM, bit for bit; the public distortion clamps roundoff below
+        # zero to 0 and sums in its own order, hence the tolerance there
+        for psi, obs, public_rate, public_distortion in self._sweep_instances():
+            d = psi.system_dims[0]
+            dist, rate = sample_sweep(psi, obs, 2, 40, seed=11)
+            for i in range(40):
+                povm = sample_random_povm(d, 2, (11, i))
+                assert rate[i] == public_rate(psi, povm)
+                assert abs(dist[i] - public_distortion(psi, povm, obs)) < 1e-10
 
     def test_rates_within_qubit_bounds(self):
         psi = purify(example_source())
@@ -494,6 +538,14 @@ class TestLowerEnvelope:
         for bad in (np.nan, np.inf):
             with pytest.raises(ValueError):
                 lower_envelope([0.1], [0.1], np.array([0.05, bad]))
+
+    def test_non_finite_samples_rejected(self):
+        grid = np.array([0.15, 0.25, 0.35])
+        for bad in (np.nan, np.inf):
+            with pytest.raises(ValueError):
+                lower_envelope([0.1, 0.2, 0.3], [0.5, bad, 0.1], grid)
+            with pytest.raises(ValueError):
+                lower_envelope([0.1, bad, 0.3], [0.5, 0.2, 0.1], grid)
 
     def test_caller_arrays_stay_writable(self):
         d, r, grid = np.array([0.1, 0.2]), np.array([0.5, 0.3]), np.array([0.1, 0.3])
