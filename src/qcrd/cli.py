@@ -1,5 +1,9 @@
 """Command-line interface: ``sample``, ``curve``, ``qsi-curve``, ``check``.
 
+With ``side_info`` a problem's rate is I(X;R|B) and its CSV opens with
+``# assumes:`` lines.  ``curve --n 0`` skips the sampling half (sweep,
+envelope rows, SVG); ``qsi-curve`` is its deprecated alias for side_info specs.
+
 All numeric output uses %.12g formatting, UTF-8, and LF line endings, and is
 a deterministic function of the problem definition, flags, and seed.
 """
@@ -77,74 +81,52 @@ def _write_lines(path: str, lines: list[str]) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _header(problem: ProblemSpec, columns: str) -> list[str]:
+    return [*(_QSI_METADATA if problem.has_side_info else ()), columns]
+
+
+def _curve_rows(grid, rates, method: str) -> list[str]:
+    """One row per grid point; a point without a finite rate is ``infeasible``."""
+    return [f"{_fmt(d)},{_fmt(r)},{method}" if math.isfinite(r) else f"{_fmt(d)},,infeasible"
+            for d, r in zip(grid, rates)]
+
+
 def cmd_sample(args) -> int:
     problem = _load(args)
     psi, delta, outcomes = problem.build()
     dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
-    lines = ["distortion,rate_bits,seed_index"]
+    lines = _header(problem, "distortion,rate_bits,seed_index")
     lines.extend(f"{_fmt(d)},{_fmt(r)},{i}" for i, (d, r) in enumerate(zip(dist.tolist(), rate.tolist())))
     _write_lines(args.out_csv, lines)
     return 0
 
 
-def _curve_rows(grid, env_rates, descent_points):
-    rows = []
-    for d, r in zip(grid, env_rates):
-        if math.isfinite(r):
-            rows.append(f"{_fmt(d)},{_fmt(r)},sampling")
-        else:
-            rows.append(f"{_fmt(d)},,infeasible")
-    for d, point in zip(grid, descent_points):
-        if point is None:
-            rows.append(f"{_fmt(d)},,infeasible")
-        else:
-            rows.append(f"{_fmt(d)},{_fmt(point.rate)},descent")
-    return rows
-
-
 def cmd_curve(args) -> int:
+    """``curve``, and ``qsi-curve`` as ``curve --n 0`` on a side_info spec."""
     problem = _load(args)
+    if args.command == "qsi-curve" and not problem.has_side_info:
+        raise ProblemSpecError("qsi-curve needs a problem definition with side_info")
     psi, delta, outcomes = problem.build()
     grid = _parse_grid(args.grid) if args.grid else _default_grid(problem, delta.d_max)
     if grid.min() < -1e-12 or grid.max() > delta.d_max + 1e-9:
         raise ProblemSpecError(f"grid must lie within [0, d_max={delta.d_max!r}]")
 
-    dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
-    curve = lower_envelope(dist, rate, grid)
+    lines = _header(problem, "D,R_bits,method")
+    if args.n:
+        dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
+        curve = lower_envelope(dist, rate, grid)
+        lines.extend(_curve_rows(grid, curve.rates, "sampling"))
     descent = minimize_rate_curve(psi, delta, grid, outcomes, problem.solver)
-
-    lines = ["D,R_bits,method"]
-    lines.extend(_curve_rows(grid, curve.rates, descent))
+    lines.extend(_curve_rows(grid, [math.inf if p is None else p.rate for p in descent], "descent"))
     _write_lines(args.out_csv, lines)
 
-    if args.out_svg:
+    if args.n and args.out_svg:
         from .svgfig import write_rd_svg
 
         stride = max(1, dist.size // _MAX_SVG_POINTS)
         cloud = list(zip(dist[::stride].tolist(), rate[::stride].tolist()))
         envelope = [(d, r) for d, r in zip(grid, curve.rates) if math.isfinite(r)]
         write_rd_svg(args.out_svg, cloud, envelope)
-    return 0
-
-
-def cmd_qsi_curve(args) -> int:
-    problem = _load(args)
-    if not problem.has_side_info:
-        raise ProblemSpecError("qsi-curve needs a problem definition with side_info")
-    psi, delta, outcomes = problem.build_qsi()
-    grid = _parse_grid(args.grid) if args.grid else _default_grid(problem, delta.d_max)
-    if grid.min() < -1e-12 or grid.max() > delta.d_max + 1e-9:
-        raise ProblemSpecError(f"grid must lie within [0, d_max={delta.d_max!r}]")
-
-    descent = minimize_rate_curve(psi, delta, grid, outcomes, problem.solver)
-    lines = list(_QSI_METADATA)
-    lines.append("D,R_bits,method")
-    for d, point in zip(grid, descent):
-        if point is None:
-            lines.append(f"{_fmt(d)},,infeasible")
-        else:
-            lines.append(f"{_fmt(d)},{_fmt(point.rate)},descent")
-    _write_lines(args.out_csv, lines)
     return 0
 
 
@@ -177,17 +159,17 @@ def build_parser() -> argparse.ArgumentParser:
     p_curve = sub.add_parser("curve", help="rate-distortion curve to CSV and SVG")
     add_problem_flags(p_curve)
     p_curve.add_argument("--seed", type=int, default=0, help="seed of the sample streams")
-    p_curve.add_argument("--n", type=int, default=250_000, help="samples behind the envelope")
+    p_curve.add_argument("--n", type=int, default=250_000, help="samples behind the envelope; 0 skips them")
     p_curve.add_argument("--grid", help="distortion grid: start:stop:step or comma list")
     p_curve.add_argument("--out-csv", default="curve.csv")
     p_curve.add_argument("--out-svg", default="curve.svg")
     p_curve.set_defaults(func=cmd_curve)
 
-    p_qsi = sub.add_parser("qsi-curve", help="curve with quantum side information")
+    p_qsi = sub.add_parser("qsi-curve", help="deprecated alias of curve --n 0 on a side_info spec")
     add_problem_flags(p_qsi)
     p_qsi.add_argument("--grid", help="distortion grid: start:stop:step or comma list")
     p_qsi.add_argument("--out-csv", default="qsi_curve.csv")
-    p_qsi.set_defaults(func=cmd_qsi_curve)
+    p_qsi.set_defaults(func=cmd_curve, n=0, out_svg=None)
 
     p_check = sub.add_parser("check", help="run a named self-check suite")
     p_check.add_argument("--suite", required=True, choices=sorted(check_suites.SUITES))

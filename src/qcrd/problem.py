@@ -21,9 +21,12 @@ also accepted), matrices are row-major nested lists.
                  "rng_seed": 0}                                  # optional
     }
 
-With ``side_info`` the joint state is the source and the observable blocks
-act on reference (x) side information; a ``classical-cost`` observable is
-lifted as sum_z d(z, x) |w_z><w_z|_R (x) I_B over the joint eigenbasis.
+One :meth:`ProblemSpec.build` serves both settings; a spec without
+``side_info`` is the d_B = 1 case.  With ``side_info`` the joint state is the
+source and the observable blocks act on reference (x) side information; a
+``classical-cost`` observable is lifted as sum_z d(z, x) |w_z><w_z|_R (x) I_B
+over the joint eigenbasis, so it needs dA*dB cost rows.  ``paper-example``
+and ``eigenbasis`` observables need a plain source.
 """
 
 from __future__ import annotations
@@ -112,24 +115,25 @@ class ProblemSpec:
         return self.joint is not None
 
     def build(self) -> tuple[Purification, DistortionObservable, int]:
-        """Purification, observable, and outcome count for the plain setting."""
-        if self.purification_vector is not None:
+        """Purification, observable, and outcome count; the purification is
+        tripartite (R, A, B) with ``side_info`` and bipartite (R, A) without."""
+        if self.has_side_info:
+            psi = purify_joint(self.joint, self.side_dims)
+        elif self.purification_vector is not None:
             dim = self.source.dim
             psi = Purification(self.purification_vector, dim, (dim,))
             if trace_distance(psi.reduced_system_state(), self.source.mat) > 1e-9:
                 raise ProblemSpecError("supplied purification does not reduce to the source state")
         else:
             psi = purify(self.source)
-        obs = self._build_observable(self.source)
+        obs = self._build_observable(psi.side_dim)
         return psi, obs, self._resolve_outcomes(obs)
 
     def build_qsi(self) -> tuple[Purification, DistortionObservable, int]:
-        """Purification, observable, and outcome count for the QSI setting."""
-        if self.joint is None or self.side_dims is None:
+        """:meth:`build` for a spec that must carry ``side_info``."""
+        if not self.has_side_info:
             raise ProblemSpecError("side_info with dims is required for the QSI setting")
-        psi = purify_joint(self.joint, self.side_dims)
-        obs = self._build_observable_qsi(psi)
-        return psi, obs, self._resolve_outcomes(obs)
+        return self.build()
 
     def _resolve_outcomes(self, obs: DistortionObservable) -> int:
         if self.outcomes is None:
@@ -140,30 +144,27 @@ class ProblemSpec:
             )
         return self.outcomes
 
-    def _build_observable(self, rho: DensityOperator) -> DistortionObservable:
+    def _build_observable(self, d_b: int) -> DistortionObservable:
         kind = self.observable_spec.get("kind")
+        if self.has_side_info and kind in (PAPER_PRESET, "eigenbasis"):
+            raise ProblemSpecError(f"observable kind {kind!r} is not supported with side information")
         if kind == PAPER_PRESET:
             return example_observable()
         if kind == "eigenbasis":
-            return eigenbasis_observable(rho)
+            return eigenbasis_observable(self.source)
         if kind == "classical-cost":
+            # one row per eigenvector of the state that R mirrors
+            state = self.joint if self.has_side_info else self.source
             costs = np.asarray(self.observable_spec["costs"], dtype=float)
-            return classical_cost_observable(costs, eig_hermitian(rho.mat).eigenvectors)
+            if costs.shape[0] != state.dim:
+                raise ProblemSpecError(
+                    f"classical-cost has {costs.shape[0]} rows for a state of dimension {state.dim}"
+                )
+            base = classical_cost_observable(costs, eig_hermitian(state.mat).eigenvectors)
+            return DistortionObservable(tuple(tensor(b, np.eye(d_b)) for b in base.blocks))
         if kind == "blocks":
             return DistortionObservable(tuple(self.observable_spec["blocks"]))
         raise ProblemSpecError(f"unknown observable kind {kind!r}")
-
-    def _build_observable_qsi(self, psi: Purification) -> DistortionObservable:
-        kind = self.observable_spec.get("kind")
-        _, d_b = psi.system_dims
-        if kind == "classical-cost":
-            costs = np.asarray(self.observable_spec["costs"], dtype=float)
-            base = classical_cost_observable(costs, eig_hermitian(self.joint.mat).eigenvectors)
-            eye_b = np.eye(d_b)
-            return DistortionObservable(tuple(tensor(b, eye_b) for b in base.blocks))
-        if kind == "blocks":
-            return DistortionObservable(tuple(self.observable_spec["blocks"]))
-        raise ProblemSpecError(f"observable kind {kind!r} is not supported with side information")
 
 
 def paper_problem(solver: SolverOptions | None = None) -> ProblemSpec:

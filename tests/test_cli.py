@@ -1,10 +1,18 @@
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from qcrd import tensor
-from qcrd.cli import main
+from qcrd import (
+    conditional_mutual_information_cq,
+    distortion_qsi,
+    induced_cq_state_qsi,
+    load_problem,
+    sample_random_povm,
+    tensor,
+)
+from qcrd.cli import _fmt, main
 
 
 def light_solver():
@@ -177,6 +185,22 @@ class TestCurve:
         assert at_zero
         assert abs(float(at_zero[0][1]) - 0.6008760366928562) < 1e-3
 
+    def test_n_zero_skips_sampling(self, tmp_path):
+        spec = write_spec(tmp_path, {"schema": 1, "source": "paper-example",
+                                     "observable": "paper-example", "solver": light_solver()})
+        csv_path, svg_path = tmp_path / "curve.csv", tmp_path / "curve.svg"
+        code = main(["curve", "--spec", spec, "--n", "0", "--grid", "0.1,0.25",
+                     "--out-csv", str(csv_path), "--out-svg", str(svg_path)])
+        assert code == 0
+        lines = csv_path.read_text(encoding="utf-8").splitlines()
+        assert lines[0] == "D,R_bits,method"
+        assert [ln.split(",")[2] for ln in lines[1:]] == ["descent", "descent"]
+        assert not svg_path.exists()
+        # the sample command has no descent to fall back on
+        code = main(["sample", "--spec", spec, "--n", "0", "--out-csv", str(tmp_path / "s.csv")])
+        assert code == 1
+        assert not (tmp_path / "s.csv").exists()
+
 
 class TestQsiCurve:
     @staticmethod
@@ -192,6 +216,11 @@ class TestQsiCurve:
                            "costs": [[0.0, 1.0], [1.0, 0.0], [0.5, 0.5], [0.5, 0.5]]},
             "solver": light_solver(),
         })
+
+    def test_example_spec_is_this_instance(self, tmp_path):
+        example = Path(__file__).resolve().parents[1] / "examples" / "side-info.json"
+        assert json.loads(example.read_text(encoding="utf-8")) == json.loads(
+            Path(self.qsi_spec(tmp_path)).read_text(encoding="utf-8"))
 
     def test_qsi_curve_runs(self, tmp_path):
         spec = self.qsi_spec(tmp_path)
@@ -216,6 +245,50 @@ class TestQsiCurve:
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
         assert not (tmp_path / "q.csv").exists()
+
+    def test_sample_reports_conditional_information(self, tmp_path):
+        spec = self.qsi_spec(tmp_path)
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--spec", spec, "--n", "50", "--seed", "4", "--out-csv", str(out)]) == 0
+        lines = out.read_text(encoding="utf-8").splitlines()
+        assert lines[0].startswith("# assumes:") and lines[1].startswith("# assumes:")
+        assert lines[2] == "distortion,rate_bits,seed_index"
+        psi, delta, k = load_problem(spec).build()
+        for i, row in enumerate(lines[3:]):
+            povm = sample_random_povm(2, k, (4, i))
+            rate = conditional_mutual_information_cq(induced_cq_state_qsi(psi, povm))
+            assert row == f"{_fmt(distortion_qsi(psi, povm, delta))},{_fmt(rate)},{i}"
+        assert i == 49
+
+    def test_curve_descent_rows_match_qsi_curve(self, tmp_path):
+        spec = self.qsi_spec(tmp_path)
+        curve, qsi = tmp_path / "curve.csv", tmp_path / "qsi.csv"
+        grid = ["--grid", "0.05,0.15,0.3"]
+        assert main(["curve", "--spec", spec, "--n", "300", "--seed", "2", "--out-csv", str(curve),
+                     "--out-svg", str(tmp_path / "curve.svg")] + grid) == 0
+        assert main(["qsi-curve", "--spec", spec, "--out-csv", str(qsi)] + grid) == 0
+        curve_lines = curve.read_text(encoding="utf-8").splitlines()
+        qsi_lines = qsi.read_text(encoding="utf-8").splitlines()
+        assert curve_lines[:2] == qsi_lines[:2] and curve_lines[0].startswith("# assumes:")
+        # three envelope rows (300 samples may reach no POVM at D=0.05), then the descent rows
+        assert len(curve_lines) == 9 and len(qsi_lines) == 6
+        assert all(ln.endswith((",sampling", ",infeasible")) for ln in curve_lines[3:6])
+        assert curve_lines[6:] == qsi_lines[3:]
+
+    @pytest.mark.parametrize("command", ["sample", "curve", "qsi-curve"])
+    def test_cost_row_count_must_match_joint_dimension(self, tmp_path, capsys, command):
+        # two rows index the A-marginal's eigenbasis; the side-info problem needs dA*dB = 4
+        data = json.loads(Path(self.qsi_spec(tmp_path)).read_text(encoding="utf-8"))
+        data["observable"]["costs"] = [[0.0, 1.0], [1.0, 0.0]]
+        spec = write_spec(tmp_path, data, "two_rows.json")
+        out = tmp_path / "out.csv"
+        flags = {"sample": ["--n", "20"], "curve": ["--n", "20", "--grid", "0.1"],
+                 "qsi-curve": ["--grid", "0.1"]}
+        code = main([command, "--spec", spec, "--out-csv", str(out)] + flags[command])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert "2 rows" in err and "dimension 4" in err
+        assert not out.exists()
 
     def test_missing_side_info_is_an_error(self, tmp_path, capsys):
         spec = write_spec(tmp_path, {"schema": 1, "source": "paper-example",

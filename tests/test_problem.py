@@ -83,6 +83,12 @@ class TestParsing:
         assert outcomes == 2
         assert obs.outcome_count == 2
 
+    def test_cost_rows_must_match_source_dimension(self):
+        problem = parse_problem(minimal_spec(observable={"kind": "classical-cost",
+                                                         "costs": [[0.0, 1.0]] * 3}))
+        with pytest.raises(ProblemSpecError, match="3 rows.*dimension 2"):
+            problem.build()
+
     def test_blocks_observable(self):
         blocks = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
         problem = parse_problem(minimal_spec(observable={"kind": "blocks", "blocks": blocks}))
@@ -166,8 +172,9 @@ class TestSideInfo:
         assert problem.has_side_info
         assert trace_distance(problem.source.mat, np.diag([0.7, 0.3])) < 1e-9
 
-    def test_build_qsi_shapes(self):
-        psi, obs, outcomes = parse_problem(self.joint_spec()).build_qsi()
+    @pytest.mark.parametrize("build", ["build_qsi", "build"])
+    def test_build_qsi_shapes(self, build):
+        psi, obs, outcomes = getattr(parse_problem(self.joint_spec()), build)()
         assert psi.dims == (4, 2, 2)
         assert obs.dim == 8
         assert outcomes == 2
@@ -204,10 +211,11 @@ class TestSideInfo:
         with pytest.raises(ProblemSpecError):
             parse_problem(spec)
 
-    def test_paper_observable_not_allowed_with_side_info(self):
+    @pytest.mark.parametrize("build", ["build_qsi", "build"])
+    def test_paper_observable_not_allowed_with_side_info(self, build):
         spec = self.joint_spec(observable="paper-example")
         with pytest.raises(ProblemSpecError):
-            parse_problem(spec).build_qsi()
+            getattr(parse_problem(spec), build)()
 
 
 class TestLoadProblem:
