@@ -58,6 +58,7 @@ from .states import (
     purify,
     purify_joint,
     sample_random_povm,
+    sweep_povm,
 )
 
 __version__ = "0.1.0"
@@ -106,6 +107,7 @@ __all__ = [
     "sample_sweep",
     "shannon_entropy",
     "sqrt_psd",
+    "sweep_povm",
     "tensor",
     "trace_distance",
     "von_neumann_entropy",

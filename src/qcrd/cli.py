@@ -85,9 +85,9 @@ def _header(problem: ProblemSpec, columns: str) -> list[str]:
     return [*(_QSI_METADATA if problem.has_side_info else ()), columns]
 
 
-def _curve_rows(grid, rates, method: str) -> list[str]:
-    """One row per grid point; a point without a finite rate is ``infeasible``."""
-    return [f"{_fmt(d)},{_fmt(r)},{method}" if math.isfinite(r) else f"{_fmt(d)},,infeasible"
+def _curve_rows(grid, rates, method: str, missing: str) -> list[str]:
+    """One row per grid point; a point without a finite rate is labelled ``missing``."""
+    return [f"{_fmt(d)},{_fmt(r)},{method}" if math.isfinite(r) else f"{_fmt(d)},,{missing}"
             for d, r in zip(grid, rates)]
 
 
@@ -115,9 +115,11 @@ def cmd_curve(args) -> int:
     if args.n:
         dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
         curve = lower_envelope(dist, rate, grid)
-        lines.extend(_curve_rows(grid, curve.rates, "sampling"))
+        # a grid point below every sample is a miss of the cloud, not proof that no POVM reaches it
+        lines.extend(_curve_rows(grid, curve.rates, "sampling", "unsampled"))
     descent = minimize_rate_curve(psi, delta, grid, outcomes, problem.solver)
-    lines.extend(_curve_rows(grid, [math.inf if p is None else p.rate for p in descent], "descent"))
+    rates = [math.inf if p is None else p.rate for p in descent]
+    lines.extend(_curve_rows(grid, rates, "descent", "infeasible"))
     _write_lines(args.out_csv, lines)
 
     if args.n and args.out_svg:

@@ -64,8 +64,18 @@ class DistortionObservable:
 
 
 def expected_cost(blocks: np.ndarray, sig: np.ndarray) -> np.ndarray:
-    """Distortion sum_x Tr(Delta_x sigma_x) of stacked blocks (..., k, d, d)."""
-    return np.einsum("xij,...xji->...", blocks, sig).real
+    """Distortion sum_x Tr(Delta_x sigma_x) of stacked blocks (..., k, d, d).
+
+    The terms Re(Delta_x[i, j] sigma_x[j, i]) are added one after another in
+    (x, i, j) order, so a POVM's distortion does not depend on the batch it
+    is evaluated in (``einsum`` reduces a batch of one in another order).
+    """
+    t = sig.swapaxes(-1, -2)
+    terms = blocks.real * t.real
+    terms -= blocks.imag * t.imag
+    terms = terms.reshape(*terms.shape[:-3], -1)
+    np.add.accumulate(terms, axis=-1, out=terms)
+    return terms[..., -1] + 0.0
 
 
 def reported_distortion(blocks: np.ndarray, sig: np.ndarray) -> float:

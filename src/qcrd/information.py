@@ -5,7 +5,7 @@ I(X;R) is I(X;R|B) with d_B = 1, and :func:`entropy_gap` computes both.
 :func:`cq_information` is the one function that turns blocks sigma_x into a
 rate: the public functions below, the solver's witnesses and every sample of
 its Monte-Carlo sweep call it, so sample ``i`` of a sweep has, bit for bit,
-the rate these functions give ``sample_random_povm(d, k, (seed, i))``.
+the rate these functions give ``sweep_povm(d, k, seed, i)``.
 """
 
 from __future__ import annotations

@@ -22,7 +22,7 @@ I(X;R), so the number of system factors alone decides the setting.
 Every sampled and reported rate comes from :func:`~qcrd.information.cq_information`,
 the function behind ``mutual_information_cq`` and its conditional variant:
 sample ``i`` of :func:`sample_sweep` has, bit for bit, the rate they give
-``sample_random_povm(d, k, (seed, i))``.
+``sweep_povm(d, k, seed, i)``.
 
 L is convex in the effects: I(X;R) = sum_x D(sigma_x || p_x rho_R) with
 sigma_x linear in the effects, I(X;R|B) = const - sum_x D(sigma_x || 1_R (x)
@@ -44,7 +44,7 @@ from .distortion import DistortionObservable, expected_cost, reported_distortion
 from .information import (EIG_FLOOR, InvalidDistribution, cq_information, entropy_gap, entropy_terms,
                           side_marginal)
 from .operators import DimensionMismatch, eig_hermitian
-from .states import Povm, Purification, conditional_blocks, povm_effects_from_ginibre
+from .states import Povm, Purification, _ginibre_draws, conditional_blocks, povm_effects_from_ginibre
 
 #: Largest Lagrange multiplier tried before declaring a target infeasible.
 MU_CAP = 1e7
@@ -73,8 +73,9 @@ class RdCurve:
     """Rates over a sorted distortion grid; ``inf`` marks unreachable values.
 
     ``witnesses`` holds, per grid point, the index of the sample behind the
-    rate, or -1 where the grid point is unreachable.  The fields are
-    read-only copies, so the caller's arrays stay writable.
+    rate, or -1 where the grid point is unreachable; index ``i`` of a sweep
+    keyed by ``seed`` is the POVM ``sweep_povm(d, k, seed, i)``.  The fields
+    are read-only copies, so the caller's arrays stay writable.
     """
 
     grid: np.ndarray
@@ -197,9 +198,11 @@ def sample_sweep(
     """(distortion, rate) arrays with one entry per random POVM; the rate is
     I(X;R), or I(X;R|B) for a tripartite purification.
 
-    Sample ``i`` sits at position ``i`` and draws from the stream keyed by
-    ``(seed, i)`` — identical to ``sample_random_povm(dim, outcomes, (seed, i))``
-    — so the output does not depend on the chunking.
+    Sample ``i`` sits at position ``i`` and is the POVM
+    ``sweep_povm(dim, outcomes, seed, i)``: each chunk of samples is one draw
+    from a counter-based stream in which sample ``i`` owns a fixed block, so
+    the output does not depend on the chunking and the first ``m`` samples
+    do not depend on ``n_samples``.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
@@ -208,10 +211,7 @@ def sample_sweep(
     dist, rate = np.empty(n_samples), np.empty(n_samples)
     for start in range(0, n_samples, _SWEEP_CHUNK):
         stop = min(start + _SWEEP_CHUNK, n_samples)
-        g = np.empty((stop - start,) + shape, dtype=complex)
-        for i in range(start, stop):
-            rng = np.random.default_rng((seed, i))
-            g[i - start] = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        g = _ginibre_draws(seed, start, stop, shape)
         sig = conditional_blocks(obj.m, povm_effects_from_ginibre(g))
         rate[start:stop] = cq_information(sig, obj.side_dim)
         dist[start:stop] = expected_cost(obj.blocks, sig)

@@ -314,12 +314,68 @@ def povm_effects_from_ginibre(g: np.ndarray) -> np.ndarray:
     return s[..., None, :, :] @ a @ s[..., None, :, :]
 
 
-def sample_random_povm(dim: int, outcomes: int, rng_seed) -> Povm:
-    """Random POVM from the Ginibre-square construction, deterministic per seed."""
+def _check_povm_size(dim: int, outcomes: int) -> None:
     if outcomes < 1:
         raise ValueError("a POVM needs at least one outcome")
     if not 1 <= dim <= MAX_DIM:
         raise DimensionMismatch(f"dimension {dim} outside supported range 1..{MAX_DIM}")
+
+
+def _ginibre_draws(seed: int, start: int, stop: int, shape: tuple[int, ...]) -> np.ndarray:
+    """Complex Ginibre matrices (stop - start, *shape) of the sweep samples
+    ``start..stop-1``.
+
+    One Philox keyed by ``seed`` serves every sample: sample ``i`` owns the
+    ``B = ceil(2 n / 4)`` counter blocks after ``i * B`` (n entries of
+    ``shape``), read as 4 B raw words, so it is a pure function of
+    ``(seed, i)`` whatever range it is drawn in.  Its first 2 n words become
+    doubles u in [0, 1), and Box-Muller turns the pair (u_2j, u_2j+1) into
+    entry j, whose real and imaginary parts are independent standard
+    normals.  Raw words rather than ``Generator`` methods keep the stream
+    fixed by the Philox algorithm alone.
+    """
+    n = prod(shape)
+    blocks = -(-2 * n // 4)
+    bits = np.random.Philox(seed=seed, counter=start * blocks)
+    words = bits.random_raw((stop - start) * 4 * blocks).reshape(stop - start, 4 * blocks)
+    words = np.ascontiguousarray(words[:, :2 * n])
+    # computed in place, so a chunk's draw needs little more memory than its
+    # matrices: the words of pair j become the real and imaginary part of g_j
+    words >>= np.uint64(11)
+    g = words.view(complex)
+    np.multiply(words, 2.0**-53, out=words.view(np.float64))
+    radius = 1.0 - g.real
+    np.log(radius, out=radius)
+    radius *= -2.0
+    np.sqrt(radius, out=radius)
+    g.imag *= 2.0 * np.pi
+    np.cos(g.imag, out=g.real)
+    np.sin(g.imag, out=g.imag)
+    g.real *= radius
+    g.imag *= radius
+    return g.reshape((stop - start, *shape))
+
+
+def sweep_povm(dim: int, outcomes: int, seed: int, index: int) -> Povm:
+    """POVM of sample ``index`` of a Monte-Carlo sweep keyed by ``seed``.
+
+    It comes from the same draws and the same Ginibre map as the sweep,
+    so the sweep's sample ``index`` is this POVM's rate and distortion.
+    """
+    _check_povm_size(dim, outcomes)
+    if index < 0:
+        raise ValueError("sample index must be nonnegative")
+    g = _ginibre_draws(seed, index, index + 1, (outcomes, dim, dim))
+    return Povm(tuple(povm_effects_from_ginibre(g)[0]))
+
+
+def sample_random_povm(dim: int, outcomes: int, rng_seed) -> Povm:
+    """Random POVM from the Ginibre-square construction, deterministic per seed.
+
+    Draws from ``numpy.random.default_rng(rng_seed)``, a stream separate
+    from the sweep's (see :func:`sweep_povm`).
+    """
+    _check_povm_size(dim, outcomes)
     rng = np.random.default_rng(rng_seed)
     g = rng.standard_normal((outcomes, dim, dim)) + 1j * rng.standard_normal((outcomes, dim, dim))
     return Povm(tuple(povm_effects_from_ginibre(g)))

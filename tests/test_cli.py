@@ -9,7 +9,7 @@ from qcrd import (
     distortion_qsi,
     induced_cq_state_qsi,
     load_problem,
-    sample_random_povm,
+    sweep_povm,
     tensor,
 )
 from qcrd.cli import _fmt, main
@@ -50,6 +50,12 @@ class TestSample:
         rates = np.array([float(r[1]) for r in rows])
         assert rates.min() >= -1e-9 and rates.max() <= 1.0
         assert [int(r[2]) for r in rows] == list(range(500))
+
+    def test_negative_seed_is_an_error(self, tmp_path, capsys):
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--n", "5", "--seed", "-1", "--out-csv", str(out)]) == 1
+        assert "error:" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_byte_identical_reruns(self, tmp_path):
         a, b = tmp_path / "a.csv", tmp_path / "b.csv"
@@ -255,7 +261,7 @@ class TestQsiCurve:
         assert lines[2] == "distortion,rate_bits,seed_index"
         psi, delta, k = load_problem(spec).build()
         for i, row in enumerate(lines[3:]):
-            povm = sample_random_povm(2, k, (4, i))
+            povm = sweep_povm(2, k, 4, i)
             rate = conditional_mutual_information_cq(induced_cq_state_qsi(psi, povm))
             assert row == f"{_fmt(distortion_qsi(psi, povm, delta))},{_fmt(rate)},{i}"
         assert i == 49
@@ -272,8 +278,22 @@ class TestQsiCurve:
         assert curve_lines[:2] == qsi_lines[:2] and curve_lines[0].startswith("# assumes:")
         # three envelope rows (300 samples may reach no POVM at D=0.05), then the descent rows
         assert len(curve_lines) == 9 and len(qsi_lines) == 6
-        assert all(ln.endswith((",sampling", ",infeasible")) for ln in curve_lines[3:6])
+        assert all(ln.endswith((",sampling", ",unsampled")) for ln in curve_lines[3:6])
         assert curve_lines[6:] == qsi_lines[3:]
+
+    def test_sampling_miss_is_unsampled_not_infeasible(self, tmp_path):
+        # 500 samples at seed 2 reach no POVM with D <= 0.05 (the first one is
+        # sample 995), while the descent meets that target
+        out = tmp_path / "curve.csv"
+        assert main(["curve", "--spec", self.qsi_spec(tmp_path), "--n", "500", "--seed", "2",
+                     "--grid", "0.05,0.15,0.3", "--out-csv", str(out), "--out-svg", str(tmp_path / "c.svg")]) == 0
+        _, rows = read_rows(out)
+        assert rows[0] == ["0.05", "", "unsampled"]
+        assert [r[2] for r in rows[1:3]] == ["sampling", "sampling"]
+        descent = rows[3:]
+        assert [r[2] for r in descent] == ["descent"] * 3
+        assert descent[0][0] == "0.05" and 0.0 < float(descent[0][1]) < 1.0
+        assert not any(r[2] == "infeasible" for r in rows)
 
     @pytest.mark.parametrize("command", ["sample", "curve", "qsi-curve"])
     def test_cost_row_count_must_match_joint_dimension(self, tmp_path, capsys, command):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+import qcrd.solver as solver
 from qcrd import (
     DensityOperator,
     DistortionObservable,
@@ -32,8 +33,13 @@ from qcrd import (
     purify_joint,
     sample_random_povm,
     sample_sweep,
+    sweep_povm,
     von_neumann_entropy,
 )
+
+from qcrd.distortion import expected_cost
+from qcrd.information import cq_information
+from qcrd.states import conditional_blocks, povm_effects_from_ginibre
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
 
@@ -429,7 +435,7 @@ class TestSampleSweep:
         dist, rate = sample_sweep(psi, example_observable(), 2, 4100, seed=5)
         assert dist.shape == rate.shape == (4100,)
         assert dist.dtype == rate.dtype == np.float64
-        tail = sample_random_povm(2, 2, (5, 4099))
+        tail = sweep_povm(2, 2, 5, 4099)
         assert abs(dist[-1] - distortion(psi, tail, example_observable())) < 1e-10
 
     @staticmethod
@@ -457,14 +463,78 @@ class TestSampleSweep:
     def test_matches_per_sample_povm_construction(self):
         # one rate function: sample i's rate is the public function's rate of
         # its POVM, bit for bit; the public distortion clamps roundoff below
-        # zero to 0 and sums in its own order, hence the tolerance there
+        # zero to 0, hence the tolerance there
         for psi, obs, public_rate, public_distortion in self._sweep_instances():
             d = psi.system_dims[0]
             dist, rate = sample_sweep(psi, obs, 2, 40, seed=11)
             for i in range(40):
-                povm = sample_random_povm(d, 2, (11, i))
+                povm = sweep_povm(d, 2, 11, i)
                 assert rate[i] == public_rate(psi, povm)
                 assert abs(dist[i] - public_distortion(psi, povm, obs)) < 1e-10
+
+    def test_output_does_not_depend_on_chunk_size(self, monkeypatch):
+        for psi, obs, _, _ in self._sweep_instances():
+            runs = []
+            for chunk in (1, 7, 4096):
+                monkeypatch.setattr(solver, "_SWEEP_CHUNK", chunk)
+                runs.append(sample_sweep(psi, obs, 2, 100, seed=13))
+            for dist, rate in runs[1:]:
+                assert np.array_equal(dist, runs[0][0]) and np.array_equal(rate, runs[0][1])
+
+    def test_prefix_of_a_longer_sweep(self):
+        # 4097 samples end on a chunk of one
+        psi, obs = purify(example_source()), example_observable()
+        dist, rate = sample_sweep(psi, obs, 2, 5000, seed=21)
+        for m in (1, 10, 4097):
+            head = sample_sweep(psi, obs, 2, m, seed=21)
+            assert np.array_equal(head[0], dist[:m]) and np.array_equal(head[1], rate[:m])
+
+    @staticmethod
+    def _ks_distance(a, b):
+        a, b = np.sort(a), np.sort(b)
+        x = np.concatenate([a, b])
+        return np.abs(np.searchsorted(a, x, "right") / a.size - np.searchsorted(b, x, "right") / b.size).max()
+
+    def test_same_distribution_as_per_sample_generators(self):
+        # oracle: the Ginibre draws of one default_rng((seed, i)) per sample;
+        # 0.0195 is the two-sample Kolmogorov-Smirnov critical value at
+        # alpha = 1e-3 for 20,000 + 20,000 samples
+        psi, obs = purify(example_source()), example_observable()
+        n, seed = 20_000, 7
+        dist, rate = sample_sweep(psi, obs, 2, n, seed=seed)
+        g = np.empty((n, 2, 2, 2), dtype=complex)
+        for i in range(n):
+            rng = np.random.default_rng((seed, i))
+            g[i] = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+        sig = conditional_blocks(psi.measured_matrix(), povm_effects_from_ginibre(g))
+        assert self._ks_distance(dist, expected_cost(np.stack(obs.blocks), sig)) < 0.0195
+        assert self._ks_distance(rate, cq_information(sig, 1)) < 0.0195
+
+    def test_golden_stream(self):
+        # first effect of samples 0 and 1 at seed 0; the tolerance admits
+        # last-bit differences of log, cos and LAPACK between builds, while
+        # any change of the stream moves the entries by order one
+        h = float.fromhex
+        golden = [
+            [[complex(h("0x1.7c8ad30bffe4ep-2"), h("-0x1.97999ed1b38dep-56")),
+              complex(h("0x1.214c60ebbbee6p-2"), h("-0x1.a8a977e92d057p-3"))],
+             [complex(h("0x1.214c60ebbbee9p-2"), h("0x1.a8a977e92d05ap-3")),
+              complex(h("0x1.07b17f9c2e06fp-1"), h("0x1.6f666f2bb5e88p-57"))]],
+            [[complex(h("0x1.e9dcf9bc6a2f7p-2"), h("-0x1.c411ef7721f65p-58")),
+              complex(h("0x1.73f2aa518d7b6p-4"), h("-0x1.2b549400f353bp-2"))],
+             [complex(h("0x1.73f2aa518d7b6p-4"), h("0x1.2b549400f353ap-2")),
+              complex(h("0x1.52b41a6168118p-2"), h("0x1.8ccdaeff23406p-59"))]],
+        ]
+        for i, expected in enumerate(golden):
+            assert np.abs(sweep_povm(2, 2, 0, i).effects[0] - np.array(expected)).max() < 1e-12
+
+    def test_sweep_povm_rejects_bad_arguments(self):
+        with pytest.raises(ValueError):
+            sweep_povm(2, 2, -1, 0)
+        with pytest.raises(ValueError):
+            sweep_povm(2, 2, 0, -1)
+        with pytest.raises(ValueError):
+            sweep_povm(2, 0, 0, 0)
 
     def test_rates_within_qubit_bounds(self):
         psi = purify(example_source())
