@@ -23,6 +23,9 @@ from .solver import lower_envelope, minimize_rate_curve, sample_sweep
 
 _MAX_SVG_POINTS = 5000
 
+#: Rows of ``sample`` output formatted per write.
+_CSV_CHUNK = 8192
+
 #: Most points a ``--grid start:stop:step`` range may expand to.
 _MAX_GRID_POINTS = 10_000
 
@@ -95,9 +98,13 @@ def cmd_sample(args) -> int:
     problem = _load(args)
     psi, delta, outcomes = problem.build()
     dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
-    lines = _header(problem, "distortion,rate_bits,seed_index")
-    lines.extend(f"{_fmt(d)},{_fmt(r)},{i}" for i, (d, r) in enumerate(zip(dist.tolist(), rate.tolist())))
-    _write_lines(args.out_csv, lines)
+    # rows are formatted and written a chunk at a time, so the text of the
+    # whole file never sits in memory
+    with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
+        fh.write("\n".join(_header(problem, "distortion,rate_bits,seed_index")) + "\n")
+        for start in range(0, dist.size, _CSV_CHUNK):
+            rows = zip(dist[start:start + _CSV_CHUNK].tolist(), rate[start:start + _CSV_CHUNK].tolist())
+            fh.write("".join(f"{_fmt(d)},{_fmt(r)},{i}\n" for i, (d, r) in enumerate(rows, start)))
     return 0
 
 

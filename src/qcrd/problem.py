@@ -26,7 +26,9 @@ One :meth:`ProblemSpec.build` serves both settings; a spec without
 source and the observable blocks act on reference (x) side information; a
 ``classical-cost`` observable is lifted as sum_z d(z, x) |w_z><w_z|_R (x) I_B
 over the joint eigenbasis, so it needs dA*dB cost rows.  ``paper-example``
-and ``eigenbasis`` observables need a plain source.
+and ``eigenbasis`` observables need a plain source.  The solver options
+``restarts`` and ``rng_seed`` are still parsed and validated, but the
+solver is deterministic and ignores them.
 """
 
 from __future__ import annotations

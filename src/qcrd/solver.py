@@ -24,12 +24,14 @@ the function behind ``mutual_information_cq`` and its conditional variant:
 sample ``i`` of :func:`sample_sweep` has, bit for bit, the rate they give
 ``sweep_povm(d, k, seed, i)``.
 
-L is convex in the effects: I(X;R) = sum_x D(sigma_x || p_x rho_R) with
-sigma_x linear in the effects, I(X;R|B) = const - sum_x D(sigma_x || 1_R (x)
-Tr_R sigma_x) by joint convexity of relative entropy, and distortion is
-linear.  The descent therefore works on the effects themselves, with a
-monotone multiplicative step along the analytic gradient that keeps every
-iterate a POVM.  Reported optimizer values are achievable upper bounds
+L is convex in the blocks: I(X;R) = sum_x D(sigma_x || p_x rho_R),
+I(X;R|B) = const - sum_x D(sigma_x || 1_R (x) Tr_R sigma_x) by joint
+convexity of relative entropy, and distortion is linear.  Each multiplier
+is solved by quantum Blahut-Arimoto: mirror descent with step 1 on the
+blocks sigma_x restricted to the range of the source, with one Newton solve
+per step for the multiplier of the constraint sum_x sigma_x = rho_RB.  The
+plain and side-information settings run the same step, and every solve is
+deterministic.  Reported optimizer values are achievable upper bounds
 witnessed by explicit POVMs; no lower bound is computed yet.
 """
 
@@ -49,14 +51,30 @@ from .states import Povm, Purification, _ginibre_draws, conditional_blocks, povm
 #: Largest Lagrange multiplier tried before declaring a target infeasible.
 MU_CAP = 1e7
 
-#: Descent declares a plateau when the objective improves by less than the
-#: convergence tolerance over this many iterations.
-PLATEAU_WINDOW = 50
-
 _SWEEP_CHUNK = 4096
 
-#: Largest step, in units of the gradient-eigenvalue spread, of the descent.
-_MAX_STEP = 8.0
+#: Singular values of M below this fraction of the largest one are dropped:
+#: the solver works in range(M) only.
+_RANK_CUT = 1e-12
+
+#: Largest exponent spread, in nats, that one mirror-descent step may add to
+#: the blocks; a Y-solve cannot represent the spreads that mu ln2 Delta
+#: reaches near MU_CAP in double precision.
+_STEP_SPREAD = 200.0
+
+#: Newton decrement below which a Y-solve takes the full step and stops.
+_NEWTON_EXACT = 1e-12
+#: Limits of one Y-solve: Newton steps, the smallest Armijo damping before
+#: Newton counts as stalled, and the steps and residual of the fixed point.
+_NEWTON_STEPS = 50
+_MIN_DAMPING = 1e-10
+_FIXED_POINT_STEPS = 100
+_FIXED_POINT_TOL = 1e-6
+
+#: Largest exponent passed to exp (which overflows above 709), and the floor
+#: of eigenvalues passed to log.
+_EXP_MAX = 700.0
+_TINY = 1e-300
 
 
 @dataclass(frozen=True)
@@ -97,6 +115,15 @@ class RdCurve:
 
 @dataclass(frozen=True)
 class SolverOptions:
+    """Options of the Lagrangian solver.
+
+    Each multiplier of ``lagrange_grid`` (and of the bracket search around
+    a target) runs mirror descent until L improves by less than
+    ``convergence_tol`` bits in one step, or for ``max_iterations`` steps.
+    ``restarts`` and ``rng_seed`` are accepted and validated but ignored:
+    the solve is convex and deterministic, with one start per multiplier.
+    """
+
     restarts: int = 16
     max_iterations: int = 5000
     lagrange_grid: tuple[float, ...] = (0.03, 0.1, 0.3, 1.0, 3.0, 10.0, 30.0, 100.0, 300.0)
@@ -128,8 +155,9 @@ class _Objective:
     """I(X;R|B) and distortion of POVMs acting on the system factor A.
 
     A bipartite purification is the d_B = 1 case, where I(X;R|B) = I(X;R);
-    the observable's blocks act on R (x) B.  :meth:`lagrangian` serves the
-    descent; every reported value is recomputed by :meth:`witness`.
+    the observable's blocks act on R (x) B.  :meth:`lagrangian` values
+    each multiplier's solution and the chord mixes between them; every
+    reported value is recomputed by :meth:`witness`.
     """
 
     def __init__(self, psi: Purification, delta: DistortionObservable, outcomes: int):
@@ -248,62 +276,84 @@ def lower_envelope(distortion, rate, grid) -> RdCurve:
 
 
 # ---------------------------------------------------------------------------
-# Lagrangian multistart descent
+# Lagrangian sweep: quantum Blahut-Arimoto per multiplier
 
 
-def _multiplicative_step(root: np.ndarray, grad: np.ndarray, step: np.ndarray) -> np.ndarray:
-    """Factors of S^{-1/2} R_x Lambda_x R_x S^{-1/2}, R_x = exp(-eta (G_x - g_min) / 2).
+def _exp_hessian(w: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Hessian of Y -> sum_x Tr exp(K_x + Y) from the eigendecompositions
+    (w, u) of K_x + Y, as an (r^2, r^2) matrix on row-major vec(Y).
 
-    ``root`` holds factors U_x with U_x^dag U_x = Lambda_x, stacked (n, k, d, d).
-    The new factors are the polar factor of the stacked U_x R_x, an isometry,
-    so the new effects are PSD and sum to the identity by construction.  eta
-    is ``step`` over the chain's gradient-eigenvalue spread.
+    The Frechet derivative of exp at U diag(w) U^dag maps H to
+    U (Gamma o U^dag H U) U^dag with the Daleckii-Krein divided differences
+    Gamma_ij = (e^w_i - e^w_j) / (w_i - w_j), written so that it never
+    exponentiates more than the larger eigenvalue.
     """
-    n, k, d = root.shape[:3]
-    gw, gv = np.linalg.eigh(grad)
-    low = gw.min(axis=(-2, -1))[:, None, None]
-    spread = gw.max(axis=(-2, -1))[:, None, None] - low
-    eta = step[:, None, None] / np.maximum(spread, 1e-12)
-    r = _spectral(gv, np.exp(-eta * (gw - low) / 2.0))
-    u, _, vh = np.linalg.svd((root @ r).reshape(n, k * d, d), full_matrices=False)
-    return (u @ vh).reshape(n, k, d, d)
+    k, r = w.shape
+    gap = np.abs(w[:, :, None] - w[:, None, :])
+    ratio = np.where(gap > 0.0, -np.expm1(-gap) / np.where(gap > 0.0, gap, 1.0), 1.0)
+    gamma = np.exp(np.maximum(w[:, :, None], w[:, None, :])) * ratio
+    kron = np.einsum("xai,xbj->xabij", u, u.conj()).reshape(k, r * r, r * r)
+    return np.einsum("xpq,xq,xsq->ps", kron, gamma.reshape(k, r * r), kron.conj())
 
 
-def _descend(obj, mu: float, lam: np.ndarray, opts: SolverOptions):
-    """Monotone multiplicative descent of L = rate + mu * distortion on
-    stacked chains of effects (n, k, d, d).
+def _log_fixed_point(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray) -> np.ndarray:
+    """Y <- Y + log S^2 - log sum_x exp(K_x + Y), shifted by the top exponent
+    so no exp overflows; exact in one step when all blocks commute."""
+    log_s2 = np.diag(np.log(s2))
+    for _ in range(_FIXED_POINT_STEPS):
+        w, u = np.linalg.eigh(k_mats + y)
+        top = w.max()
+        tw, tu = np.linalg.eigh(_spectral(u, np.exp(w - top)).sum(axis=0))
+        step = log_s2 - _spectral(tu, np.log(np.maximum(tw, _TINY))) - top * np.eye(y.shape[0])
+        y = y + (step + step.conj().T) / 2.0
+        if np.abs(step).max() < _FIXED_POINT_TOL:
+            break
+    return y
 
-    Each chain keeps its own adaptive step; a chain freezes when its step
-    collapses or when the objective improves by less than the convergence
-    tolerance over PLATEAU_WINDOW iterations.
+
+def _solve_dual(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray | None) -> np.ndarray:
+    """Hermitian Y with sum_x exp(K_x + Y) = diag(s2): damped Newton on the
+    convex phi(Y) = sum_x Tr exp(K_x + Y) - Tr(S^2 Y), warm-started from ``y``.
+
+    A cold start (``y`` None), a numerically singular Hessian or a Newton
+    step that finds no Armijo decrease runs the log-domain fixed point.
+    Once the Newton decrement is below ``_NEWTON_EXACT`` the Armijo test is
+    round-off, so the full step is taken.
     """
-    w, v = np.linalg.eigh(lam)
-    root = _spectral(v, np.sqrt(np.clip(w, 0.0, None)))
-    f, rate, dist, grad = obj.lagrangian(lam, mu)
-    n = f.size
-    step = np.ones(n)
-    window_f = f.copy()
-    active = np.arange(n)
-    it = 0
-    while active.size and it < opts.max_iterations:
-        prop_root = _multiplicative_step(root[active], grad[active], step[active])
-        prop = prop_root.conj().swapaxes(-1, -2) @ prop_root
-        fp, rp, dp, gp = obj.lagrangian(prop, mu)
-        acc = fp < f[active]
-        idx_acc = active[acc]
-        idx_rej = active[~acc]
-        lam[idx_acc], root[idx_acc], grad[idx_acc] = prop[acc], prop_root[acc], gp[acc]
-        f[idx_acc], rate[idx_acc], dist[idx_acc] = fp[acc], rp[acc], dp[acc]
-        step[idx_acc] = np.minimum(step[idx_acc] * 1.5, _MAX_STEP)
-        step[idx_rej] *= 0.5
-        it += 1
-        if it % PLATEAU_WINDOW == 0:
-            keep = (window_f[active] - f[active] >= opts.convergence_tol) & (step[active] > 1e-10)
-            active = active[keep]
-            window_f = f.copy()
-        elif (step[active] <= 1e-10).any():
-            active = active[step[active] > 1e-10]
-    return lam, f, rate, dist
+    r = s2.size
+
+    def phi(trial):
+        w = np.linalg.eigvalsh(k_mats + trial)
+        return np.exp(w).sum() - s2 @ np.diag(trial).real if w.max() <= _EXP_MAX else math.inf
+
+    if y is None:
+        y = _log_fixed_point(k_mats, s2, np.zeros((r, r), dtype=complex))
+    eye, log_total = np.eye(r), math.log(s2.sum())
+    for _ in range(_NEWTON_STEPS):
+        w, u = np.linalg.eigh(k_mats + y)
+        # exact minimization of phi along Y + c 1, which moves no eigenvector
+        top = w.max()
+        shift = log_total - top - math.log(np.exp(w - top).sum())
+        y, w = y + shift * eye, w + shift
+        ex = np.exp(w)
+        grad = _spectral(u, ex).sum(axis=0) - np.diag(s2)
+        try:
+            step = np.linalg.solve(_exp_hessian(w, u), -grad.reshape(-1)).reshape(r, r)
+        except np.linalg.LinAlgError:
+            step = np.full((r, r), math.nan)
+        step = (step + step.conj().T) / 2.0
+        decrement = -np.vdot(step, grad).real
+        if not 0.0 <= decrement < math.inf:  # Hessian singular in double precision
+            y = _log_fixed_point(k_mats, s2, y)
+            continue
+        if decrement < _NEWTON_EXACT:
+            return y + step
+        f = ex.sum() - s2 @ np.diag(y).real
+        t = 1.0
+        while t > _MIN_DAMPING and not phi(y + t * step) <= f - 1e-4 * t * decrement:
+            t *= 0.5
+        y = y + t * step if t > _MIN_DAMPING else _log_fixed_point(k_mats, s2, y)
+    return y
 
 
 @dataclass
@@ -311,54 +361,102 @@ class _MuSolution:
     mu: float
     rate: float
     dist: float
-    effects: np.ndarray  # best chain
+    effects: np.ndarray
+    dual: np.ndarray  # Y / eta, (r, r): warm start of the next Y-solve
 
 
 class _LagrangianSolver:
     """Shared Lagrangian sweep serving one or many target distortions.
 
-    Solutions at each multiplier are cached so a grid of targets reuses the
-    same descent work; each solve warm-starts from the nearest multiplier
-    solved so far.
+    At each multiplier mu, quantum Blahut-Arimoto minimizes L = rate + mu *
+    distortion: mirror descent on the blocks s_x = V^dag sigma_x V, with V an
+    isometry onto range(M) (M = V S W^dag), under the one constraint
+    sum_x s_x = S^2.  One step is s_x <- exp(K_x + Y) with
+    K_x = V^dag [log tau_x - mu ln2 Delta_x] V, tau_x = 1_R (x) Tr_R sigma_x
+    (p_x 1 in the plain setting), and Y solving the constraint.  L minus
+    sum_x Tr s_x log s_x is concave, so L is 1-smooth relative to it and
+    every step with eta <= 1 lowers L; with commuting blocks the step is
+    classical Blahut-Arimoto.
+
+    Solutions are cached per multiplier.  Every solve starts from the
+    maximally mixed POVM, so its result does not depend on the multipliers
+    solved before it; only the Y-solve warm-starts from the nearest one.  A
+    warm start from another multiplier's blocks would carry their near-zero
+    parts (an unused outcome, or a direction of Tr_R sigma_x), which mirror
+    descent regrows by too little per step for the stopping rule to wait.
     """
 
     #: extra rate allowed between the reported witness and the true optimum
     #: at the exact target, used to stop the multiplier bisection.
     RATE_MARGIN = 2e-4
 
-    #: weight of the maximally mixed POVM in a warm start: multiplicative
-    #: steps never grow a support, so an unmixed warm start could stay on a
-    #: boundary face that is optimal only at the old multiplier.
-    WARM_MIX = 0.1
-
     def __init__(self, obj, opts: SolverOptions):
         self.obj = obj
         self.opts = opts
-        self.rng = np.random.default_rng(opts.rng_seed)
         self.k, self.d = obj.outcomes, obj.system_dim
-        self.mixed = np.broadcast_to(np.eye(self.d, dtype=complex) / self.k, (self.k, self.d, self.d))
+        v, s, wh = np.linalg.svd(obj.m, full_matrices=False)
+        r = int((s > _RANK_CUT * s[0]).sum())
+        self.s, self.w = s[:r], wh[:r].conj().T
+        self.v3 = v[:, :r].reshape(-1, obj.side_dim, r)
+        self.costs = np.einsum("ai,xab,bj->xij", v[:, :r].conj(), obj.blocks, v[:, :r])
+        cw = np.linalg.eigvalsh(self.costs)
+        self.cost_spread = float(cw.max() - cw.min())
         self.solutions: dict[float, _MuSolution] = {}
 
-    def _starts(self, warm: np.ndarray | None) -> np.ndarray:
-        """``restarts`` chains: the maximally mixed POVM, the warm start mixed
-        toward it, then Ginibre POVMs."""
-        chains = [self.mixed]
-        if warm is not None and self.opts.restarts > 1:
-            chains.append((1.0 - self.WARM_MIX) * warm + self.WARM_MIX * self.mixed)
-        shape = (self.opts.restarts - len(chains), self.k, self.d, self.d)
-        g = self.rng.standard_normal(shape) + 1j * self.rng.standard_normal(shape)
-        return np.concatenate([np.stack(chains), povm_effects_from_ginibre(g)])
+    def _effects(self, exponent: np.ndarray) -> np.ndarray:
+        """POVM of blocks exp(exponent): conj(W S^-1 s_x S^-1 W^dag + (1 - W W^dag)/k),
+        renormalized by T^-1/2 (.) T^-1/2 with T their sum."""
+        w, u = np.linalg.eigh(exponent)
+        inv = 1.0 / self.s
+        core = inv[:, None] * _spectral(u, np.exp(w)) * inv[None, :]
+        free = (np.eye(self.d) - self.w @ self.w.conj().T) / self.k
+        lam = (self.w @ core @ self.w.conj().T + free).conj()
+        tw, tv = np.linalg.eigh(lam.sum(axis=0))
+        root = _spectral(tv, 1.0 / np.sqrt(tw))
+        return root @ lam @ root
+
+    def _mirror_descent(self, mu: float, dual: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+        """Mirror descent from the maximally mixed POVM, s_x = S^2 / k, until
+        L improves by less than the convergence tolerance or for
+        ``max_iterations`` steps; returns the exponents log s_x and Y / eta.
+
+        The step eta caps the exponent spread that mu ln2 Delta adds per step
+        at ``_STEP_SPREAD`` nats, which double precision can still represent.
+        """
+        eta = _STEP_SPREAD / max(mu * math.log(2.0) * self.cost_spread, _STEP_SPREAD)
+        s2 = self.s**2
+        exponent = np.broadcast_to(np.diag(np.log(s2 / self.k)), (self.k,) + (s2.size,) * 2).astype(complex)
+        # with step eta the constraint's multiplier is eta times that of step 1
+        y = None if dual is None else eta * dual
+        f_prev = math.inf
+        for _ in range(self.opts.max_iterations):
+            w, u = np.linalg.eigh(exponent)
+            blocks = _spectral(u, np.exp(w))
+            tw, tu = np.linalg.eigh(np.einsum("rbi,xij,rcj->xbc", self.v3, blocks, self.v3.conj()))
+            joint = -(np.exp(w) * w).sum() / math.log(2.0)
+            rate = self.obj.h_const - joint + entropy_terms(np.clip(tw, 0.0, None)).sum()
+            f = rate + mu * np.einsum("xij,xji->", self.costs, blocks).real
+            if f_prev - f < self.opts.convergence_tol:
+                break
+            f_prev = f
+            log_side = _spectral(tu, np.log(np.maximum(tw, _TINY)))
+            k_mats = (np.einsum("rbi,xbc,rcj->xij", self.v3.conj(), log_side, self.v3)
+                      - mu * math.log(2.0) * self.costs)
+            k_mats = exponent + eta * (k_mats - exponent)
+            y = _solve_dual(k_mats, s2, y)
+            exponent = k_mats + y
+        return exponent, y / eta
 
     def solve_at(self, mu: float) -> _MuSolution:
         if mu in self.solutions:
             return self.solutions[mu]
-        warm = None
+        dual = None
         if self.solutions:
-            nearest = min(self.solutions, key=lambda m: abs(math.log(m / mu)))
-            warm = self.solutions[nearest].effects
-        lam, f, rate, dist = _descend(self.obj, mu, self._starts(warm), self.opts)
-        best = int(np.argmin(f))
-        sol = _MuSolution(mu, float(rate[best]), float(dist[best]), lam[best])
+            dual = self.solutions[min(self.solutions, key=lambda m: abs(math.log(m / mu)))].dual
+        exponent, dual = self._mirror_descent(mu, dual)
+        effects = self._effects(exponent)
+        _, rate, dist, _ = self.obj.lagrangian(effects[None], mu)
+        sol = _MuSolution(mu, float(rate[0]), float(dist[0]), effects, dual)
         self.solutions[mu] = sol
         return sol
 

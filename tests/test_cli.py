@@ -244,7 +244,7 @@ class TestQsiCurve:
 
     @pytest.mark.parametrize("flag", [["--seed", "3"], ["--threads", "2"]])
     def test_sample_stream_flags_rejected(self, tmp_path, capsys, flag):
-        # the descent seed is the spec's solver.rng_seed; no flag overrides it
+        # qsi-curve draws no samples, and its descent rows draw nothing at random
         spec = self.qsi_spec(tmp_path)
         with pytest.raises(SystemExit) as exc:
             main(["qsi-curve", "--spec", spec, "--out-csv", str(tmp_path / "q.csv")] + flag)

@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -303,6 +304,134 @@ class TestLagrangianGradient:
                 numeric = float((fp - fm)[0]) / (2 * eps)
                 analytic = float(np.einsum("xab,xba->", grad[0], h).real)
                 assert abs(numeric - analytic) <= 1e-7 * max(1.0, abs(analytic))
+
+
+class TestQuantumBlahutArimoto:
+    """The per-multiplier solve: mirror descent on the blocks in range(M)."""
+
+    @staticmethod
+    def _criterion_4_trial(trial):
+        """Source, classical costs and observable of acceptance criterion 4's trial."""
+        rng = np.random.default_rng(404)
+        for t in range(trial + 1):
+            dim = 2 if t % 2 == 0 else 3
+            rho = random_density(rng, dim)
+            costs = rng.uniform(0.1, 2.0, size=(dim, 2))
+            for z in range(dim):
+                costs[z, z % 2] = 0.0
+        eig = eig_hermitian(rho.mat)
+        p = np.clip(eig.eigenvalues, 0.0, None)
+        return rho, p / p.sum(), costs, classical_cost_observable(costs, eig.eigenvectors)
+
+    def test_skewed_source_reaches_blahut_arimoto(self):
+        # trial 12 has source spectrum 0.996/0.004
+        rho, p, costs, obs = self._criterion_4_trial(12)
+        assert p.min() < 0.005
+        mu = 4.555
+        opts = SolverOptions(convergence_tol=1e-12, max_iterations=20_000)
+        sol = solver._LagrangianSolver(solver._Objective(purify(rho), obs, 2), opts).solve_at(mu)
+        rate, dist = solver._ba_fixed_slope(p, costs, mu * math.log(2.0))
+        assert abs((sol.rate + mu * sol.dist) - (rate + mu * dist)) < 1e-9
+
+    @pytest.mark.parametrize("side", [False, True])
+    def test_lagrangian_never_increases(self, side):
+        rng = np.random.default_rng(37)
+        if side:
+            psi = purify_joint(random_density(rng, 4), (2, 2))
+            obs = DistortionObservable(tuple(random_density(rng, 8).mat * 1.5 for _ in range(2)))
+        else:
+            rho = random_density(rng, 3)
+            psi = purify(rho)
+            obs = DistortionObservable(tuple(random_density(rng, 3).mat * 2.0 for _ in range(2)))
+        obj = solver._Objective(psi, obs, 2)
+        for mu in (0.5, 5.0, 5e4):  # the last takes steps eta < 1
+            values = []
+            for n in range(1, 25):
+                qba = solver._LagrangianSolver(obj, SolverOptions(max_iterations=n, convergence_tol=1e-15))
+                sol = qba.solve_at(mu)
+                values.append(sol.rate + mu * sol.dist)
+            assert np.all(np.diff(values) <= 1e-12 * max(1.0, mu))
+
+    def test_solution_does_not_depend_on_solve_order(self):
+        # every multiplier starts from the maximally mixed POVM; only the
+        # Y-solve is warm-started, and its solution is unique
+        rng = np.random.default_rng(17)
+        psi = purify_joint(random_density(rng, 4), (2, 2))
+        obs = DistortionObservable(tuple(random_density(rng, 8).mat * 1.5 for _ in range(2)))
+        obj = solver._Objective(psi, obs, 2)
+        grid = (0.3, 1.0, 3.0, 10.0, 30.0)
+        up, down = (solver._LagrangianSolver(obj, light_opts(lagrange_grid=grid)) for _ in range(2))
+        for mu in grid:
+            up.solve_at(mu)
+        for mu in reversed(grid):
+            down.solve_at(mu)
+        for mu in grid:
+            a, b = up.solutions[mu], down.solutions[mu]
+            assert abs(a.rate - b.rate) < 1e-9 and abs(a.dist - b.dist) < 1e-9
+
+    @staticmethod
+    def _infeasible_instances():
+        """(purification, observable, target below the smallest distortion)."""
+        # positive definite cost blocks: every POVM has distortion at least
+        # their smallest eigenvalue
+        rng = np.random.default_rng(17)
+        psi = purify_joint(random_density(rng, 4), (2, 2))
+        yield psi, DistortionObservable(tuple(random_density(rng, 8).mat * 1.5 for _ in range(2))), 0.0
+        # a qubit whose outcome 1 costs more on every letter, at a target below
+        # the cost floor 0.648: that block underflows as mu grows
+        rho = DensityOperator(np.diag([0.79, 0.21]).astype(complex))
+        costs = np.array([[0.465, 0.729], [1.334, 1.401]])
+        obs = classical_cost_observable(costs, eig_hermitian(rho.mat).eigenvectors)
+        yield purify_joint(rho, (2, 1)), obs, 0.436
+
+    @pytest.mark.parametrize("case", [0, 1])
+    def test_side_information_target_below_floor_is_infeasible(self, case):
+        # the bracket grows to MU_CAP, where mu ln2 Delta spans exponents far
+        # beyond double precision unless each step's spread is capped
+        psi, obs, target = list(self._infeasible_instances())[case]
+        qba = solver._LagrangianSolver(solver._Objective(psi, obs, 2), light_opts())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert qba.for_target(target) is None
+        assert max(qba.solutions) >= solver.MU_CAP
+
+    def test_rank_deficient_source(self):
+        # rank 2 on a qutrit: the solver works on the 2-dimensional range of M
+        rng = np.random.default_rng(41)
+        basis = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))[0]
+        rho = DensityOperator((basis * np.array([0.7, 0.3, 0.0])) @ basis.conj().T)
+        eig = eig_hermitian(rho.mat)
+        p = np.clip(eig.eigenvalues, 0.0, None)
+        p /= p.sum()
+        costs = np.array([[0.0, 1.0], [1.2, 0.0], [0.0, 0.5]])
+        obs = classical_cost_observable(costs, eig.eigenvectors)
+        psi = purify(rho)
+        assert solver._LagrangianSolver(solver._Objective(psi, obs, 2), light_opts()).s.size == 2
+        target = 0.5 * float((p @ costs).min())
+        point = minimize_rate(psi, obs, target, 2, light_opts())
+        assert isinstance(point.povm, Povm)
+        assert point.distortion <= target + 1e-6
+        assert point.rate == mutual_information_cq(induced_cq_state(psi, point.povm))
+        assert abs(point.rate - blahut_arimoto(p, costs, target)) < 1e-6
+
+    def test_restarts_and_seed_have_no_effect(self):
+        psi, obs = purify(example_source()), example_observable()
+        grid = [0.05, 0.12, 0.2]
+        runs = [minimize_rate_curve(psi, obs, grid, 2, light_opts(seed=seed, restarts=restarts))
+                for restarts, seed in ((1, 0), (16, 0), (1, 9))]
+        for other in runs[1:]:
+            for a, b in zip(runs[0], other):
+                assert (a.rate, a.distortion) == (b.rate, b.distortion)
+                assert np.array_equal(np.stack(a.povm.effects), np.stack(b.povm.effects))
+
+    def test_four_level_eigenbasis_target(self):
+        # d = k = 4 with source spectrum down to 0.0038
+        from qcrd.checks import random_density as regularized_density
+
+        rho = regularized_density(np.random.default_rng(7), 4)
+        point = minimize_rate(purify(rho), eigenbasis_observable(rho), 0.1, 4)
+        assert point is not None and point.distortion <= 0.1 + 1e-7
+        assert point.rate <= 0.62333 + 1e-5
 
 
 class TestMinimizeRateQsi:
