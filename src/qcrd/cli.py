@@ -39,6 +39,14 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
+def _sample_rows(dist: list, rate: list, start: int) -> str:
+    """``distortion,rate_bits,seed_index`` rows of samples ``start, start+1, ...``
+    as one ``%`` format, the same text as :func:`_fmt` of every value."""
+    fields = [0] * (3 * len(dist))
+    fields[0::3], fields[1::3], fields[2::3] = dist, rate, range(start, start + len(dist))
+    return ("%.12g,%.12g,%d\n" * len(dist)) % tuple(fields)
+
+
 def _load(args) -> ProblemSpec:
     if args.spec and args.preset:
         raise ProblemSpecError("give either --preset or --spec, not both")
@@ -103,8 +111,8 @@ def cmd_sample(args) -> int:
     with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(_header(problem, "distortion,rate_bits,seed_index")) + "\n")
         for start in range(0, dist.size, _CSV_CHUNK):
-            rows = zip(dist[start:start + _CSV_CHUNK].tolist(), rate[start:start + _CSV_CHUNK].tolist())
-            fh.write("".join(f"{_fmt(d)},{_fmt(r)},{i}\n" for i, (d, r) in enumerate(rows, start)))
+            stop = start + _CSV_CHUNK
+            fh.write(_sample_rows(dist[start:stop].tolist(), rate[start:stop].tolist(), start))
     return 0
 
 
@@ -147,7 +155,7 @@ def cmd_check(args) -> int:
         _write_lines(args.out_json, [text])
     else:
         print(text)
-    return 0
+    return 0 if report["passed"] else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -180,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_qsi.add_argument("--out-csv", default="qsi_curve.csv")
     p_qsi.set_defaults(func=cmd_curve, n=0, out_svg=None)
 
-    p_check = sub.add_parser("check", help="run a named self-check suite")
+    p_check = sub.add_parser("check", help="run a named self-check suite; exit status 1 if it fails")
     p_check.add_argument("--suite", required=True, choices=sorted(check_suites.SUITES))
     p_check.add_argument("--seed", type=int, default=0)
     p_check.add_argument("--out-json", help="write the report here instead of stdout")

@@ -241,10 +241,20 @@ class CqState:
         return np.sum(self.conditional_ops, axis=0)
 
 
+def _stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """``a @ b`` of stacked small matrices as sum_j a[..., :, j] b[..., j, :]: the
+    same elementwise steps for every slice, whatever stack it is in, where a
+    stacked ``@`` pays one BLAS call per slice."""
+    out = a[..., :, 0, None] * b[..., None, 0, :]
+    for j in range(1, a.shape[-1]):
+        out += a[..., :, j, None] * b[..., None, j, :]
+    return out
+
+
 def conditional_blocks(m: np.ndarray, effects: np.ndarray) -> np.ndarray:
     """Blocks sigma_x = M effect_x^T M^dagger on R (x) B, of trace p(x), for
     stacked effects (..., k, dA, dA) and M from :meth:`Purification.measured_matrix`."""
-    return np.einsum("ra,...ba,sb->...rs", m, effects, m.conj())
+    return _stacked_matmul(_stacked_matmul(m, effects.swapaxes(-1, -2)), m.conj().T)
 
 
 def _induced(psi: Purification, povm: Povm) -> CqState:
@@ -307,11 +317,11 @@ def povm_effects_from_ginibre(g: np.ndarray) -> np.ndarray:
     effect_x = M^{-1/2} G_x^dag G_x M^{-1/2} with M = sum_x G_x^dag G_x, so
     completeness holds by construction.
     """
-    a = g.conj().swapaxes(-1, -2) @ g
+    a = _stacked_matmul(g.conj().swapaxes(-1, -2), g)
     m = a.sum(axis=-3)
     w, v = np.linalg.eigh(m)
-    s = (v * (1.0 / np.sqrt(w))[..., None, :]) @ v.conj().swapaxes(-1, -2)
-    return s[..., None, :, :] @ a @ s[..., None, :, :]
+    s = _stacked_matmul(v * (1.0 / np.sqrt(w))[..., None, :], v.conj().swapaxes(-1, -2))[..., None, :, :]
+    return _stacked_matmul(_stacked_matmul(s, a), s)
 
 
 def _check_povm_size(dim: int, outcomes: int) -> None:

@@ -12,7 +12,10 @@ from qcrd import (
     sweep_povm,
     tensor,
 )
-from qcrd.cli import _fmt, main
+from qcrd import checks as check_suites
+from qcrd.cli import _CSV_CHUNK, _fmt, _sample_rows, main
+from qcrd.problem import paper_problem
+from qcrd.solver import sample_sweep
 
 
 def light_solver():
@@ -63,6 +66,24 @@ class TestSample:
         assert main(argv + ["--out-csv", str(a)]) == 0
         assert main(argv + ["--out-csv", str(b)]) == 0
         assert a.read_bytes() == b.read_bytes()
+
+    def test_chunked_rows_match_per_row_format(self):
+        # signed zero, round-off below zero, a value near the bottom of the
+        # normal range and fractions with no finite binary expansion
+        dist = [-0.0, -1e-17, 1e-300, 0.1, 0.25, 1.0 / 3.0]
+        rate = [0.1, -0.0, 1e-300, -1e-17, 0.0, 2.0 / 3.0]
+        expected = "".join(f"{_fmt(d)},{_fmt(r)},{i}\n" for i, (d, r) in enumerate(zip(dist, rate), 40))
+        assert _sample_rows(dist, rate, 40) == expected
+        assert _sample_rows([], [], 0) == ""
+
+    def test_rows_across_csv_chunks(self, tmp_path):
+        n = _CSV_CHUNK + 8
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--n", str(n), "--seed", "2", "--out-csv", str(out)]) == 0
+        psi, delta, k = paper_problem().build()
+        dist, rate = sample_sweep(psi, delta, k, n, 2)
+        rows = "".join(f"{_fmt(d)},{_fmt(r)},{i}\n" for i, (d, r) in enumerate(zip(dist, rate)))
+        assert out.read_bytes() == ("distortion,rate_bits,seed_index\n" + rows).encode("utf-8")
 
     def test_lf_line_endings_and_utf8(self, tmp_path):
         out = tmp_path / "samples.csv"
@@ -341,6 +362,16 @@ class TestCheck:
         names = {c["name"] for c in report["checks"]}
         assert "dephasing-monotonicity" in names
         assert report["passed"] is True
+
+    def test_failing_suite_exits_nonzero_after_writing_report(self, tmp_path, monkeypatch):
+        def failing(seed):
+            return {"suite": "failing", "passed": False,
+                    "checks": [{"name": "always", "passed": False, "slack": -1.0, "bound": 0.0}]}
+
+        monkeypatch.setitem(check_suites.SUITES, "failing", failing)
+        out = tmp_path / "report.json"
+        assert main(["check", "--suite", "failing", "--out-json", str(out)]) == 1
+        assert json.loads(out.read_text(encoding="utf-8"))["passed"] is False
 
     def test_unknown_suite_rejected(self):
         with pytest.raises(SystemExit):

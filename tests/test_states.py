@@ -23,6 +23,7 @@ from qcrd import (
     tensor,
     trace_distance,
 )
+from qcrd.states import _stacked_matmul, conditional_blocks, povm_effects_from_ginibre
 
 COS, SIN = np.cos(np.pi / 8), np.sin(np.pi / 8)
 PHI0 = np.array([COS, SIN])
@@ -33,6 +34,10 @@ def random_density(rng, dim):
     g = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     m = g @ g.conj().T
     return DensityOperator(m / m.trace().real)
+
+
+def ginibre(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
 
 class TestDomainTypes:
@@ -355,3 +360,34 @@ class TestSampleRandomPovm:
     def test_outcome_count_validated(self):
         with pytest.raises(ValueError):
             sample_random_povm(2, 0, 1)
+
+
+class TestStackedMatmul:
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_matches_matmul(self, d):
+        rng = np.random.default_rng(d)
+        single, tall = ginibre(rng, (d, d)), ginibre(rng, (8, d))
+        stack, other = ginibre(rng, (5, 3, d, d)), ginibre(rng, (5, 3, d, d))
+        for a, b in ((single, stack), (stack, single), (stack, other), (stack[:, :1], other),
+                     (tall, stack), (stack, tall.T)):
+            product = _stacked_matmul(a, b)
+            assert product.shape == (a @ b).shape
+            assert np.abs(product - a @ b).max() < 1e-13
+
+    @pytest.mark.parametrize("d", [3, 8])
+    def test_ginibre_map_is_batch_invariant(self, d):
+        g = ginibre(np.random.default_rng(d), (4096, 2, d, d))
+        effects = povm_effects_from_ginibre(g)
+        for i in range(g.shape[0]):
+            assert np.array_equal(effects[i], povm_effects_from_ginibre(g[i:i + 1])[0])
+
+    def test_conditional_blocks_are_batch_invariant(self):
+        rng = np.random.default_rng(11)
+        # a qutrit (d_A = 3) and a side factor (d_R d_B = 8 over d_A = 2)
+        for psi in (purify(random_density(rng, 3)), purify_joint(random_density(rng, 4), (2, 2))):
+            m, d = psi.measured_matrix(), psi.system_dims[0]
+            effects = povm_effects_from_ginibre(ginibre(rng, (4096, 2, d, d)))
+            sig = conditional_blocks(m, effects)
+            assert sig.shape == (4096, 2, m.shape[0], m.shape[0])
+            for i in range(effects.shape[0]):
+                assert np.array_equal(sig[i], conditional_blocks(m, effects[i:i + 1])[0])
