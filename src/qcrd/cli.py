@@ -72,10 +72,12 @@ def _parse_grid(text: str) -> np.ndarray:
         start, stop, step = values
         if step <= 0 or stop < start:
             raise ProblemSpecError("grid range must have positive step and stop >= start")
-        steps = (stop - start) / step
+        # floor: the last point passes stop by round-off at most, and the
+        # floor(steps) + 1 points stay within the cap exactly when steps < cap
+        steps = (stop - start) / step + 1e-9
         if not steps < _MAX_GRID_POINTS:
-            raise ProblemSpecError(f"grid range spans {steps:.3g} steps, over {_MAX_GRID_POINTS} points")
-        return start + step * np.arange(round(steps) + 1)
+            raise ProblemSpecError(f"grid range has more than {_MAX_GRID_POINTS} points")
+        return start + step * np.arange(math.floor(steps) + 1)
     if not values or np.any(np.diff(values) < 0):
         raise ProblemSpecError("grid must be a nonempty sorted list")
     return np.array(values)

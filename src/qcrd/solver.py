@@ -3,8 +3,8 @@
 Four routes to (distortion, rate) points:
 
 * :func:`sample_sweep` — Monte-Carlo cloud of random POVMs (the figure
-  reproduction path), with :func:`lower_envelope` extracting the trade-off
-  boundary;
+  reproduction path, its chunks run in parallel with the same output for
+  any worker count), with :func:`lower_envelope` extracting the boundary;
 * :func:`minimize_rate` / :func:`minimize_rate_qsi` — constrained
   minimization of I(X;R) resp. I(X;R|B) via a Lagrangian sweep over
   multipliers mu, minimizing L = rate + mu * distortion at each;
@@ -38,6 +38,7 @@ witnessed by explicit POVMs; no lower bound is computed yet.
 from __future__ import annotations
 
 import math
+import os
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,7 +52,7 @@ from .states import Povm, Purification, _ginibre_draws, conditional_blocks, povm
 #: Largest Lagrange multiplier tried before declaring a target infeasible.
 MU_CAP = 1e7
 
-_SWEEP_CHUNK = 4096
+_SWEEP_CHUNK = 2048
 
 #: Singular values of M below this fraction of the largest one are dropped:
 #: the solver works in range(M) only.
@@ -231,19 +232,38 @@ def sample_sweep(
     from a counter-based stream in which sample ``i`` owns a fixed block, so
     the output does not depend on the chunking and the first ``m`` samples
     do not depend on ``n_samples``.
+
+    Chunks run on one thread per CPU in the process's affinity (``taskset``
+    limits it); each writes only its own slice with batch-invariant kernels,
+    so the output is the same for any worker count.  A chunk's exception is
+    raised here.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be at least 1")
+    # imported here: only the sweep needs it, and it adds to every start-up
+    from concurrent.futures import ThreadPoolExecutor
+
     obj = _Objective(psi, delta, outcomes)
     shape = (obj.outcomes, obj.system_dim, obj.system_dim)
     dist, rate = np.empty(n_samples), np.empty(n_samples)
-    for start in range(0, n_samples, _SWEEP_CHUNK):
+
+    def run_chunk(start: int) -> None:
         stop = min(start + _SWEEP_CHUNK, n_samples)
         g = _ginibre_draws(seed, start, stop, shape)
         sig = conditional_blocks(obj.m, povm_effects_from_ginibre(g))
         rate[start:stop] = cq_information(sig, obj.side_dim)
         dist[start:stop] = expected_cost(obj.blocks, sig)
+
+    starts = range(0, n_samples, _SWEEP_CHUNK)
+    with ThreadPoolExecutor(min(_sweep_workers(), len(starts))) as pool:
+        # re-raises the first failed chunk's exception and cancels the chunks not yet started
+        list(pool.map(run_chunk, starts))
     return dist, rate
+
+
+def _sweep_workers() -> int:
+    """Threads of one sweep: the CPUs this process may run on."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 def lower_envelope(distortion, rate, grid) -> RdCurve:

@@ -13,7 +13,8 @@ from qcrd import (
     tensor,
 )
 from qcrd import checks as check_suites
-from qcrd.cli import _CSV_CHUNK, _fmt, _sample_rows, main
+import qcrd.solver as solver
+from qcrd.cli import _CSV_CHUNK, _fmt, _parse_grid, _sample_rows, main
 from qcrd.problem import paper_problem
 from qcrd.solver import sample_sweep
 
@@ -116,6 +117,32 @@ class TestSample:
             assert "unrecognized arguments" in capsys.readouterr().err
             assert not out.exists()
 
+    def test_same_bytes_whatever_the_worker_count(self, tmp_path, monkeypatch):
+        # 9000 samples cross the sweep's and the CSV writer's chunk boundaries
+        outputs = []
+        for workers in (1, 2):
+            monkeypatch.setattr(solver, "_sweep_workers", lambda: workers)
+            out = tmp_path / f"samples-{workers}.csv"
+            assert main(["sample", "--n", "9000", "--seed", "0", "--out-csv", str(out)]) == 0
+            outputs.append(out.read_bytes())
+        assert outputs[0] == outputs[1]
+
+    def test_failing_worker_fails_cleanly(self, tmp_path, monkeypatch, capsys):
+        real = solver.cq_information
+        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 4)
+        monkeypatch.setattr(solver, "_sweep_workers", lambda: 2)
+
+        def rate(sig, side_dim):
+            if len(sig) < 4:  # the chunk at 8 of 10 samples
+                raise ValueError("chunk at 8 failed")
+            return real(sig, side_dim)
+
+        monkeypatch.setattr(solver, "cq_information", rate)
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--n", "10", "--out-csv", str(out)]) == 1
+        assert "error: chunk at 8 failed" in capsys.readouterr().err
+        assert not out.exists()
+
 
 class TestCurve:
     def test_curve_outputs(self, tmp_path):
@@ -178,6 +205,30 @@ class TestCurve:
                      "--out-svg", str(tmp_path / "c.svg")])
         assert code == 1
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("text, expected", [
+        # a half step past the last point is not rounded up to one more point
+        ("0:0.75:0.5", [0.0, 0.5]),
+        ("0:2.5:1", [0.0, 1.0, 2.0]),
+        # the benchmark's curve grid and the preset's default range
+        ("0.02:0.24:0.02", 0.02 + 0.02 * np.arange(12)),
+        ("0:0.25:0.01", 0.01 * np.arange(26)),
+    ])
+    def test_grid_range_stops_at_stop(self, text, expected):
+        assert np.array_equal(_parse_grid(text), expected)
+
+    def test_grid_range_cap_counts_points(self):
+        assert _parse_grid("1:10000:1").size == 10_000
+        with pytest.raises(ValueError):
+            _parse_grid("0:10000:1")
+
+    def test_half_step_range_writes_no_row_past_stop(self, tmp_path):
+        csv_path = tmp_path / "c.csv"
+        code = main(["curve", "--preset", "paper-example", "--n", "100", "--grid", "0:0.75:0.5",
+                     "--out-csv", str(csv_path), "--out-svg", str(tmp_path / "c.svg")])
+        assert code == 0
+        _, rows = read_rows(csv_path)
+        assert sorted({float(r[0]) for r in rows}) == [0.0, 0.5]
 
     @pytest.mark.parametrize("fields", [
         {"observable": {"kind": "classical-cost", "costs": [1, 2]}},

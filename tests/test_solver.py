@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 import warnings
 
 import numpy as np
@@ -609,6 +611,92 @@ class TestSampleSweep:
                 runs.append(sample_sweep(psi, obs, 2, 100, seed=13))
             for dist, rate in runs[1:]:
                 assert np.array_equal(dist, runs[0][0]) and np.array_equal(rate, runs[0][1])
+
+    def test_output_does_not_depend_on_worker_count(self, monkeypatch):
+        default_chunk = solver._SWEEP_CHUNK
+        for psi, obs, _, _ in self._sweep_instances():
+            for chunk in (1, 7, default_chunk):
+                # three or more chunks; at 7 and the default the last one is short
+                n = max(40, 2 * chunk + 5)
+                monkeypatch.setattr(solver, "_SWEEP_CHUNK", chunk)
+                runs = []
+                for workers in (1, 2, 3):
+                    monkeypatch.setattr(solver, "_sweep_workers", lambda: workers)
+                    runs.append(sample_sweep(psi, obs, 2, n, seed=13))
+                for dist, rate in runs[1:]:
+                    assert np.array_equal(dist, runs[0][0]) and np.array_equal(rate, runs[0][1])
+
+    def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
+        psi, obs = purify(example_source()), example_observable()
+        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 1)
+        monkeypatch.setattr(solver, "_sweep_workers", lambda: 1)
+        serial = sample_sweep(psi, obs, 2, 200, seed=4)
+        monkeypatch.setattr(solver, "_sweep_workers", lambda: (os.cpu_count() or 1) + 2)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            parallel = sample_sweep(psi, obs, 2, 200, seed=4)
+        finally:
+            sys.setswitchinterval(interval)
+        assert np.array_equal(parallel[0], serial[0]) and np.array_equal(parallel[1], serial[1])
+
+    def test_never_more_workers_than_chunks(self, monkeypatch):
+        import concurrent.futures
+
+        sizes = []
+
+        class Recording(concurrent.futures.ThreadPoolExecutor):
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+                super().__init__(max_workers)
+
+        monkeypatch.setattr(concurrent.futures, "ThreadPoolExecutor", Recording)
+        monkeypatch.setattr(solver, "_sweep_workers", lambda: 16)
+        psi, obs = purify(example_source()), example_observable()
+        sample_sweep(psi, obs, 2, 5, seed=0)
+        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 2)
+        sample_sweep(psi, obs, 2, 5, seed=0)
+        sample_sweep(psi, obs, 2, 100, seed=0)
+        assert sizes == [1, 3, 16]
+
+    def test_worker_count_is_the_process_affinity(self):
+        workers = solver._sweep_workers()
+        assert workers >= 1
+        if hasattr(os, "sched_getaffinity"):
+            assert workers == len(os.sched_getaffinity(0))
+
+    @staticmethod
+    def _failing_on_later_chunks(monkeypatch, failure):
+        """Chunks of 4 samples, two workers, and a rate that calls ``failure``
+        on every chunk but the first (a 10-sample sweep's chunk at 8 is short)."""
+        real = solver.cq_information
+        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 4)
+        monkeypatch.setattr(solver, "_sweep_workers", lambda: 2)
+
+        def rate(sig, side_dim):
+            if len(sig) < 4:
+                failure()
+            return real(sig, side_dim)
+
+        monkeypatch.setattr(solver, "cq_information", rate)
+
+    def test_exception_in_a_worker_is_raised(self, monkeypatch):
+        error = ValueError("chunk at 8 failed")
+
+        def fail():
+            raise error
+
+        self._failing_on_later_chunks(monkeypatch, fail)
+        with pytest.raises(ValueError) as caught:
+            sample_sweep(purify(example_source()), example_observable(), 2, 10, seed=0)
+        assert caught.value is error
+
+    def test_warning_in_a_worker_fails_under_the_suite_filter(self, monkeypatch):
+        # pyproject.toml turns RuntimeWarning into an error; the filter must
+        # reach the pool's threads too
+        self._failing_on_later_chunks(monkeypatch, lambda: warnings.warn("overflow", RuntimeWarning))
+        with pytest.raises(RuntimeWarning, match="overflow"):
+            sample_sweep(purify(example_source()), example_observable(), 2, 10, seed=0)
 
     def test_prefix_of_a_longer_sweep(self):
         # 4097 samples end on a chunk of one
