@@ -17,12 +17,12 @@ Four routes to (distortion, rate) points:
 Sweep and descent share one objective, :class:`_Objective`: I(X;R|B) and
 distortion of POVMs on the system factor A, with the purification read as
 (R, A, B).  A bipartite purification is the d_B = 1 case, where I(X;R|B) is
-I(X;R), so the number of system factors alone decides the setting.
-
-Every sampled and reported rate comes from :func:`~qcrd.information.cq_information`,
-the function behind ``mutual_information_cq`` and its conditional variant:
-sample ``i`` of :func:`sample_sweep` has, bit for bit, the rate they give
-``sweep_povm(d, k, seed, i)``.
+I(X;R), so the number of system factors alone decides the setting.  Every
+sampled, compared and reported value comes from the kernels behind
+``mutual_information_cq`` and ``distortion``: sample ``i`` of
+:func:`sample_sweep` has, bit for bit, the rate they give
+``sweep_povm(d, k, seed, i)``.  Only the mirror descent's stopping test
+computes L its own way.
 
 L is convex in the blocks: I(X;R) = sum_x D(sigma_x || p_x rho_R),
 I(X;R|B) = const - sum_x D(sigma_x || 1_R (x) Tr_R sigma_x) by joint
@@ -38,14 +38,14 @@ witnessed by explicit POVMs; no lower bound is computed yet.
 from __future__ import annotations
 
 import math
+import numbers
 import os
 from dataclasses import dataclass
 
 import numpy as np
 
 from .distortion import DistortionObservable, expected_cost, reported_distortion
-from .information import (EIG_FLOOR, InvalidDistribution, cq_information, entropy_gap, entropy_terms,
-                          side_marginal)
+from .information import InvalidDistribution, cq_information, entropy_gap, entropy_terms
 from .operators import DimensionMismatch, eig_hermitian
 from .states import Povm, Purification, _ginibre_draws, conditional_blocks, povm_effects_from_ginibre
 
@@ -132,13 +132,17 @@ class SolverOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
+        for name in ("restarts", "max_iterations", "rng_seed"):
+            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), numbers.Integral):
+                raise ValueError(f"{name} must be an integer")
         if self.restarts < 1:
             raise ValueError("restarts must be at least 1")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be at least 1")
-        if not 0 < self.convergence_tol < math.inf:
+        if isinstance(self.convergence_tol, bool) or not 0 < self.convergence_tol < math.inf:
             raise ValueError("convergence_tol must be finite and positive")
-        if not self.lagrange_grid or not all(0 < mu < math.inf for mu in self.lagrange_grid):
+        if not self.lagrange_grid or not all(
+                0 < mu < math.inf and not isinstance(mu, bool) for mu in self.lagrange_grid):
             raise ValueError("lagrange_grid must contain finite positive multipliers")
         object.__setattr__(self, "lagrange_grid", tuple(sorted(float(m) for m in self.lagrange_grid)))
 
@@ -156,9 +160,9 @@ class _Objective:
     """I(X;R|B) and distortion of POVMs acting on the system factor A.
 
     A bipartite purification is the d_B = 1 case, where I(X;R|B) = I(X;R);
-    the observable's blocks act on R (x) B.  :meth:`lagrangian` values
-    each multiplier's solution and the chord mixes between them; every
-    reported value is recomputed by :meth:`witness`.
+    the observable's blocks act on R (x) B.  :meth:`evaluate` values every
+    POVM the sweep and the descent compare, with the kernels behind the
+    public functions; :meth:`witness` reports a point with the same kernels.
     """
 
     def __init__(self, psi: Purification, delta: DistortionObservable, outcomes: int):
@@ -174,30 +178,12 @@ class _Objective:
         self.side_dim = psi.side_dim
         self.m = psi.measured_matrix()
         self.blocks = np.stack(delta.blocks)
-        rho = self.m @ self.m.conj().T
-        self.h_const = float(entropy_gap(rho[None], self.side_dim))
-        self.block_means = np.einsum("xij,ji->x", self.blocks, rho).real
-        self.cost_gradient = np.einsum("ra,xrs,sb->xba", self.m.conj(), self.blocks, self.m)
+        self.h_const = float(entropy_gap((self.m @ self.m.conj().T)[None], self.side_dim))
 
-    def lagrangian(self, lam: np.ndarray, mu: float):
-        """L = rate + mu * distortion of effects (n, k, dA, dA) on LAPACK eigh,
-        returned with rate, distortion and the gradient dL/dLambda_x.
-
-        The gradient is (M^dag [log sigma_x - 1_R (x) log Tr_R sigma_x] M)^T / ln 2
-        + mu (M^dag Delta_x M)^T; one eigh per block gives value and gradient.
-        """
-        sig = conditional_blocks(self.m, lam)
-        w, v = np.linalg.eigh(sig)
-        ws, vs = np.linalg.eigh(side_marginal(sig, self.side_dim))
-        gap = entropy_terms(np.clip(w, 0.0, None)) - entropy_terms(np.clip(ws, 0.0, None))
-        rate = self.h_const - gap.sum(axis=-1)
-        dist = expected_cost(self.blocks, sig)
-        log_joint = _spectral(v, np.log(np.maximum(w, EIG_FLOOR)))
-        log_side = _spectral(vs, np.log(np.maximum(ws, EIG_FLOOR)))
-        m3 = self.m.reshape(-1, self.side_dim, self.system_dim)
-        d_rate = (np.einsum("ra,...rs,sb->...ba", self.m.conj(), log_joint, self.m)
-                  - np.einsum("rca,...cd,rdb->...ba", m3.conj(), log_side, m3)) / math.log(2.0)
-        return rate + mu * dist, rate, dist, d_rate + mu * self.cost_gradient
+    def evaluate(self, effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """(rate, distortion) of stacked effects (..., k, dA, dA), one value per POVM."""
+        sig = conditional_blocks(self.m, effects)
+        return cq_information(sig, self.side_dim), expected_cost(self.blocks, sig)
 
     def witness(self, effects: np.ndarray) -> RdPoint:
         """Reported point of the given effects, evaluated like the public functions."""
@@ -207,10 +193,10 @@ class _Objective:
 
     def zero_rate_point(self) -> tuple[float, np.ndarray]:
         """Best trivial POVM: a single identity effect on the cheapest label."""
-        x0 = int(np.argmin(self.block_means))
-        effects = np.zeros((self.outcomes, self.system_dim, self.system_dim), dtype=complex)
-        effects[x0] = np.eye(self.system_dim)
-        return float(self.block_means[x0]), effects
+        trivial = np.eye(self.outcomes)[:, :, None, None] * np.eye(self.system_dim, dtype=complex)
+        dist = self.evaluate(trivial)[1]
+        x0 = int(np.argmin(dist))
+        return float(dist[x0]), trivial[x0]
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +236,7 @@ def sample_sweep(
     def run_chunk(start: int) -> None:
         stop = min(start + _SWEEP_CHUNK, n_samples)
         g = _ginibre_draws(seed, start, stop, shape)
-        sig = conditional_blocks(obj.m, povm_effects_from_ginibre(g))
-        rate[start:stop] = cq_information(sig, obj.side_dim)
-        dist[start:stop] = expected_cost(obj.blocks, sig)
+        rate[start:stop], dist[start:stop] = obj.evaluate(povm_effects_from_ginibre(g))
 
     starts = range(0, n_samples, _SWEEP_CHUNK)
     with ThreadPoolExecutor(min(_sweep_workers(), len(starts))) as pool:
@@ -422,6 +406,7 @@ class _LagrangianSolver:
         cw = np.linalg.eigvalsh(self.costs)
         self.cost_spread = float(cw.max() - cw.min())
         self.solutions: dict[float, _MuSolution] = {}
+        self.zero_rate = obj.zero_rate_point()
 
     def _effects(self, exponent: np.ndarray) -> np.ndarray:
         """POVM of blocks exp(exponent): conj(W S^-1 s_x S^-1 W^dag + (1 - W W^dag)/k),
@@ -453,6 +438,7 @@ class _LagrangianSolver:
             w, u = np.linalg.eigh(exponent)
             blocks = _spectral(u, np.exp(w))
             tw, tu = np.linalg.eigh(np.einsum("rbi,xij,rcj->xbc", self.v3, blocks, self.v3.conj()))
+            # L on this step's own eigendecompositions: it only decides when to stop, no value is reported
             joint = -(np.exp(w) * w).sum() / math.log(2.0)
             rate = self.obj.h_const - joint + entropy_terms(np.clip(tw, 0.0, None)).sum()
             f = rate + mu * np.einsum("xij,xji->", self.costs, blocks).real
@@ -475,8 +461,8 @@ class _LagrangianSolver:
             dual = self.solutions[min(self.solutions, key=lambda m: abs(math.log(m / mu)))].dual
         exponent, dual = self._mirror_descent(mu, dual)
         effects = self._effects(exponent)
-        _, rate, dist, _ = self.obj.lagrangian(effects[None], mu)
-        sol = _MuSolution(mu, float(rate[0]), float(dist[0]), effects, dual)
+        rate, dist = self.obj.evaluate(effects)
+        sol = _MuSolution(mu, float(rate), float(dist), effects, dual)
         self.solutions[mu] = sol
         return sol
 
@@ -486,7 +472,7 @@ class _LagrangianSolver:
 
     def for_target(self, target: float) -> RdPoint | None:
         tol = self.opts.convergence_tol
-        d0, trivial = self.obj.zero_rate_point()
+        d0, trivial = self.zero_rate
         if d0 <= target + tol:
             return self.obj.witness(trivial)
         self.sweep()
@@ -524,8 +510,8 @@ class _LagrangianSolver:
             if lo.dist > target > hi.dist:
                 t = (lo.dist - target) / (lo.dist - hi.dist)
                 mixed = t * hi.effects + (1.0 - t) * lo.effects
-                _, r, d, _ = self.obj.lagrangian(mixed[None], 0.0)
-                mixes.append((float(r[0]), float(d[0]), mixed))
+                r, d = self.obj.evaluate(mixed)
+                mixes.append((float(r), float(d), mixed))
                 if (lo.dist - hi.dist) * (hi.mu - lo.mu) / 8.0 <= self.RATE_MARGIN / 4.0:
                     break
             if hi.mu / lo.mu < 1.001:
@@ -534,9 +520,8 @@ class _LagrangianSolver:
             lo, hi = bracket()
 
         candidates = [(s.rate, s.dist, s.effects) for s in self.solutions.values()] + mixes
+        # the bracket's feasible end is among them, so one always qualifies
         feasible = [(r, d, e) for r, d, e in candidates if d <= target + tol]
-        if not feasible:
-            return None
         best = min(feasible, key=lambda c: (c[0], c[1]))
         return self.obj.witness(best[2])
 
@@ -550,7 +535,7 @@ def minimize_rate(
 ) -> RdPoint | None:
     """Best found POVM with distortion <= target_d + tol and minimal I(X;R).
 
-    Returns ``None`` when no sampled or descended POVM meets the target.
+    Returns ``None`` when no POVM the Lagrangian sweep finds meets the target.
     The result is an achievable upper bound on the rate-distortion function,
     witnessed by the returned POVM.
     """

@@ -264,48 +264,42 @@ class TestMinimizeRate:
         assert mids.max() <= 1e-4
 
 
-class TestLagrangianGradient:
-    """The descent's analytic gradient of L = rate + mu * distortion against
-    central differences of L itself.  The perturbed effects are not a POVM;
-    ``lagrangian`` holds H(RB) at its value for the source, as the descent
-    does, so L stays the function the gradient differentiates."""
+class TestOneValuationKernel:
+    """The values the Lagrangian sweep compares are, bit for bit, those the
+    public functions give the same POVM."""
 
     @staticmethod
     def _instances():
-        rng = np.random.default_rng(23)
-        yield purify(example_source()), example_observable(), 2.0
-        rho = random_density(rng, 3)
-        costs = rng.uniform(0.1, 2.0, size=(3, 2))
-        yield purify(rho), classical_cost_observable(costs, eig_hermitian(rho.mat).eigenvectors), 5.0
-        joint = random_density(rng, 4)
-        yield purify_joint(joint, (2, 2)), DistortionObservable(
-            tuple(random_density(rng, 8).mat * 1.5 for _ in range(2))), 30.0
+        yield purify(example_source()), example_observable()
+        rng = np.random.default_rng(37)
+        yield purify(random_density(rng, 3)), DistortionObservable(
+            tuple(random_density(rng, 3).mat * 2.0 for _ in range(2)))
+        yield purify_joint(random_density(rng, 4), (2, 2)), DistortionObservable(
+            tuple(random_density(rng, 8).mat * 1.5 for _ in range(2)))
 
-    def test_matches_central_differences(self):
-        from qcrd.distortion import expected_cost
-        from qcrd.information import cq_information
-        from qcrd.solver import _Objective
-        from qcrd.states import conditional_blocks
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    def test_solutions_are_public_values(self, case):
+        psi, obs = list(self._instances())[case]
+        qba = solver._LagrangianSolver(solver._Objective(psi, obs, 2), SolverOptions())
+        qba.sweep()
+        side = len(psi.system_dims) == 2
+        for sol in qba.solutions.values():
+            povm = Povm(tuple(sol.effects))
+            if side:
+                assert sol.rate == conditional_mutual_information_cq(induced_cq_state_qsi(psi, povm))
+                assert sol.dist == distortion_qsi(psi, povm, obs)
+            else:
+                assert sol.rate == mutual_information_cq(induced_cq_state(psi, povm))
+                assert sol.dist == distortion(psi, povm, obs)
 
-        rng = np.random.default_rng(29)
-        for psi, obs, mu in self._instances():
-            obj = _Objective(psi, obs, 2)
-            d = obj.system_dim
-            lam = np.stack(sample_random_povm(d, 2, rng.integers(2**63)).effects)
-            f, rate, dist, grad = obj.lagrangian(lam[None], mu)
-            sig = conditional_blocks(obj.m, lam)
-            assert abs(rate[0] - cq_information(sig, obj.side_dim)) < 1e-9
-            assert dist[0] == expected_cost(obj.blocks, sig)
-            assert abs(f[0] - (rate[0] + mu * dist[0])) < 1e-12
-            for _ in range(4):
-                h = rng.standard_normal(lam.shape) + 1j * rng.standard_normal(lam.shape)
-                h = (h + h.conj().swapaxes(-1, -2)) / 2
-                eps = 1e-5
-                fp = obj.lagrangian((lam + eps * h)[None], mu)[0]
-                fm = obj.lagrangian((lam - eps * h)[None], mu)[0]
-                numeric = float((fp - fm)[0]) / (2 * eps)
-                analytic = float(np.einsum("xab,xba->", grad[0], h).real)
-                assert abs(numeric - analytic) <= 1e-7 * max(1.0, abs(analytic))
+    def test_zero_rate_distortion_is_the_reported_one(self):
+        rng = np.random.default_rng(5)
+        for _ in range(100):
+            d = int(rng.integers(2, 5))
+            obs = DistortionObservable(tuple(random_density(rng, d).mat for _ in range(3)))
+            obj = solver._Objective(purify(random_density(rng, d)), obs, 3)
+            d0, effects = obj.zero_rate_point()
+            assert d0 == obj.witness(effects).distortion
 
 
 class TestQuantumBlahutArimoto:
@@ -857,6 +851,13 @@ class TestSolverOptions:
             SolverOptions(lagrange_grid=())
         with pytest.raises(ValueError):
             SolverOptions(lagrange_grid=(-1.0,))
+        for bad in (dict(max_iterations=True, convergence_tol=True), dict(max_iterations=2.5),
+                    dict(restarts=True), dict(restarts=2.0), dict(rng_seed=False), dict(rng_seed=1.5),
+                    dict(convergence_tol=True), dict(lagrange_grid=(1.0, True))):
+            with pytest.raises(ValueError):
+                SolverOptions(**bad)
+        opts = SolverOptions(restarts=np.int64(2), max_iterations=np.int64(3), rng_seed=np.int64(4))
+        assert (opts.restarts, opts.max_iterations, opts.rng_seed) == (2, 3, 4)
 
     @pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
     def test_non_finite_values_rejected(self, bad):
