@@ -6,8 +6,8 @@ Four routes to (distortion, rate) points:
   reproduction path, its chunks run in parallel with the same output for
   any worker count), with :func:`lower_envelope` extracting the boundary;
 * :func:`minimize_rate` / :func:`minimize_rate_qsi` — constrained
-  minimization of I(X;R) resp. I(X;R|B) via a Lagrangian sweep over
-  multipliers mu, minimizing L = rate + mu * distortion at each;
+  minimization of I(X;R) resp. I(X;R|B) via a search for the multipliers
+  mu that bracket each target, minimizing L = rate + mu * distortion at each;
 * :func:`blahut_arimoto` — the classical oracle for effectively classical
   (Schmidt-diagonal) observables;
 * :func:`classical_strategy_rate` — eigenbasis measurement plus classical
@@ -118,9 +118,9 @@ class RdCurve:
 class SolverOptions:
     """Options of the Lagrangian solver.
 
-    Each multiplier of ``lagrange_grid`` (and of the bracket search around
-    a target) runs mirror descent until L improves by less than
-    ``convergence_tol`` bits in one step, or for ``max_iterations`` steps.
+    A target's bracket search bisects ``lagrange_grid``, then refines around
+    it; each multiplier it solves runs mirror descent until L improves by less
+    than ``convergence_tol`` bits in one step, or for ``max_iterations`` steps.
     ``restarts`` and ``rng_seed`` are accepted and validated but ignored:
     the solve is convex and deterministic, with one start per multiplier.
     """
@@ -132,17 +132,19 @@ class SolverOptions:
     rng_seed: int = 0
 
     def __post_init__(self):
-        for name in ("restarts", "max_iterations", "rng_seed"):
-            if isinstance(getattr(self, name), bool) or not isinstance(getattr(self, name), numbers.Integral):
+        for name, least in (("restarts", 1), ("max_iterations", 1), ("rng_seed", 0)):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
                 raise ValueError(f"{name} must be an integer")
-        if self.restarts < 1:
-            raise ValueError("restarts must be at least 1")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be at least 1")
-        if isinstance(self.convergence_tol, bool) or not 0 < self.convergence_tol < math.inf:
+            if value < least:
+                raise ValueError(f"{name} must be at least {least}")
+
+        def finite_positive(x):
+            return isinstance(x, numbers.Real) and not isinstance(x, bool) and 0 < x < math.inf
+
+        if not finite_positive(self.convergence_tol):
             raise ValueError("convergence_tol must be finite and positive")
-        if not self.lagrange_grid or not all(
-                0 < mu < math.inf and not isinstance(mu, bool) for mu in self.lagrange_grid):
+        if not self.lagrange_grid or not all(map(finite_positive, self.lagrange_grid)):
             raise ValueError("lagrange_grid must contain finite positive multipliers")
         object.__setattr__(self, "lagrange_grid", tuple(sorted(float(m) for m in self.lagrange_grid)))
 
@@ -280,7 +282,7 @@ def lower_envelope(distortion, rate, grid) -> RdCurve:
 
 
 # ---------------------------------------------------------------------------
-# Lagrangian sweep: quantum Blahut-Arimoto per multiplier
+# Lagrangian solver: quantum Blahut-Arimoto per multiplier
 
 
 def _exp_hessian(w: np.ndarray, u: np.ndarray) -> np.ndarray:
@@ -327,14 +329,16 @@ def _solve_dual(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray | None) -> np.
     r = s2.size
 
     def phi(trial):
-        w = np.linalg.eigvalsh(k_mats + trial)
-        return np.exp(w).sum() - s2 @ np.diag(trial).real if w.max() <= _EXP_MAX else math.inf
+        """phi(trial), with the eigendecomposition of K_x + trial it took."""
+        w, u = np.linalg.eigh(k_mats + trial)
+        return (np.exp(w).sum() - s2 @ np.diag(trial).real if w.max() <= _EXP_MAX else math.inf), (w, u)
 
     if y is None:
         y = _log_fixed_point(k_mats, s2, np.zeros((r, r), dtype=complex))
     eye, log_total = np.eye(r), math.log(s2.sum())
+    wu = None  # eigendecomposition of K_x + Y when the line search already made it
     for _ in range(_NEWTON_STEPS):
-        w, u = np.linalg.eigh(k_mats + y)
+        w, u = wu if wu is not None else np.linalg.eigh(k_mats + y)
         # exact minimization of phi along Y + c 1, which moves no eigenvector
         top = w.max()
         shift = log_total - top - math.log(np.exp(w - top).sum())
@@ -348,15 +352,19 @@ def _solve_dual(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray | None) -> np.
         step = (step + step.conj().T) / 2.0
         decrement = -np.vdot(step, grad).real
         if not 0.0 <= decrement < math.inf:  # Hessian singular in double precision
-            y = _log_fixed_point(k_mats, s2, y)
+            y, wu = _log_fixed_point(k_mats, s2, y), None
             continue
         if decrement < _NEWTON_EXACT:
             return y + step
         f = ex.sum() - s2 @ np.diag(y).real
         t = 1.0
-        while t > _MIN_DAMPING and not phi(y + t * step) <= f - 1e-4 * t * decrement:
+        while t > _MIN_DAMPING:
+            value, wu = phi(y + t * step)
+            if value <= f - 1e-4 * t * decrement:
+                break
             t *= 0.5
-        y = y + t * step if t > _MIN_DAMPING else _log_fixed_point(k_mats, s2, y)
+        # an accepted step's decomposition is the next iteration's
+        y, wu = (y + t * step, wu) if t > _MIN_DAMPING else (_log_fixed_point(k_mats, s2, y), None)
     return y
 
 
@@ -370,7 +378,7 @@ class _MuSolution:
 
 
 class _LagrangianSolver:
-    """Shared Lagrangian sweep serving one or many target distortions.
+    """Lagrangian solver serving one or many target distortions.
 
     At each multiplier mu, quantum Blahut-Arimoto minimizes L = rate + mu *
     distortion: mirror descent on the blocks s_x = V^dag sigma_x V, with V an
@@ -382,7 +390,9 @@ class _LagrangianSolver:
     every step with eta <= 1 lowers L; with commuting blocks the step is
     classical Blahut-Arimoto.
 
-    Solutions are cached per multiplier.  Every solve starts from the
+    A target solves only the multipliers of its bracket search: a bisection
+    of ``lagrange_grid``, then growth, shrinking and bisection of the
+    bracket.  Solutions are cached per multiplier.  Every solve starts from the
     maximally mixed POVM, so its result does not depend on the multipliers
     solved before it; only the Y-solve warm-starts from the nearest one.  A
     warm start from another multiplier's blocks would carry their near-zero
@@ -466,16 +476,20 @@ class _LagrangianSolver:
         self.solutions[mu] = sol
         return sol
 
-    def sweep(self) -> None:
-        for mu in self.opts.lagrange_grid:
-            self.solve_at(mu)
-
     def for_target(self, target: float) -> RdPoint | None:
         tol = self.opts.convergence_tol
         d0, trivial = self.zero_rate
         if d0 <= target + tol:
             return self.obj.witness(trivial)
-        self.sweep()
+        # D(mu) does not increase with mu: bisecting the grid for its first feasible
+        # multiplier (the last if none is) solves the pair bracketing the target on
+        # the whole grid; the multipliers skipped are infeasible or at no lower rate
+        grid = self.opts.lagrange_grid
+        lo_i, hi_i = 0, len(grid) - 1
+        while lo_i < hi_i:
+            mid = (lo_i + hi_i) // 2
+            lo_i, hi_i = (lo_i, mid) if self.solve_at(grid[mid]).dist <= target + tol else (mid + 1, hi_i)
+        self.solve_at(grid[lo_i])
 
         mixes: list[tuple[float, float, np.ndarray]] = []  # (rate, dist, effects)
 
@@ -487,7 +501,7 @@ class _LagrangianSolver:
             return lo, hi
 
         lo, hi = bracket()
-        mu_grow = max(self.solutions) if self.solutions else 1.0
+        mu_grow = max(self.solutions)
         while hi is None and mu_grow < MU_CAP:
             mu_grow *= 4.0
             self.solve_at(mu_grow)
@@ -535,7 +549,7 @@ def minimize_rate(
 ) -> RdPoint | None:
     """Best found POVM with distortion <= target_d + tol and minimal I(X;R).
 
-    Returns ``None`` when no POVM the Lagrangian sweep finds meets the target.
+    Returns ``None`` when no POVM the Lagrangian search finds meets the target.
     The result is an achievable upper bound on the rate-distortion function,
     witnessed by the returned POVM.
     """
@@ -569,7 +583,7 @@ def minimize_rate_curve(
     opts: SolverOptions | None = None,
 ) -> list[RdPoint | None]:
     """Minimal I(X;R), or I(X;R|B) for a tripartite purification, over a
-    grid of targets sharing one Lagrangian sweep."""
+    grid of targets sharing one cache of per-multiplier solutions."""
     opts = opts or SolverOptions()
     for t in targets:
         _check_target(t, delta)

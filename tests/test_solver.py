@@ -64,6 +64,20 @@ def light_opts(seed=0, **kw):
     return SolverOptions(**base)
 
 
+def criterion_4_trial(trial):
+    """Source, classical costs and observable of acceptance criterion 4's trial."""
+    rng = np.random.default_rng(404)
+    for t in range(trial + 1):
+        dim = 2 if t % 2 == 0 else 3
+        rho = random_density(rng, dim)
+        costs = rng.uniform(0.1, 2.0, size=(dim, 2))
+        for z in range(dim):
+            costs[z, z % 2] = 0.0
+    eig = eig_hermitian(rho.mat)
+    p = np.clip(eig.eigenvalues, 0.0, None)
+    return rho, p / p.sum(), costs, classical_cost_observable(costs, eig.eigenvectors)
+
+
 class TestBlahutArimoto:
     def test_lossless_limit_is_source_entropy(self):
         p = np.array([0.3, 0.7])
@@ -235,14 +249,17 @@ class TestMinimizeRate:
             sample_sweep(purify(example_source()), example_observable(), 3, 10, seed=0)
 
     def test_lagrange_sweep_distortion_ordering(self):
-        from qcrd.solver import _LagrangianSolver, _Objective
-
-        obj = _Objective(purify(example_source()), example_observable(), 2)
-        solver = _LagrangianSolver(obj, light_opts(seed=3))
-        solver.sweep()
-        mus = sorted(solver.solutions)
-        dists = [solver.solutions[m].dist for m in mus]
-        assert all(d1 >= d2 - 1e-8 for d1, d2 in zip(dists, dists[1:]))
+        # the bracket search bisects the grid, which needs D(mu) non-increasing
+        # there: on the paper example and on criterion 4's first d = 2 and
+        # d = 3 instances under its options
+        cases = [(purify(example_source()), example_observable(), light_opts(seed=3))]
+        for trial in (0, 1):
+            rho, _, _, obs = criterion_4_trial(trial)
+            cases.append((purify(rho), obs, light_opts(seed=1000 + trial)))
+        for psi, obs, opts in cases:
+            qba = solver._LagrangianSolver(solver._Objective(psi, obs, 2), opts)
+            dists = [qba.solve_at(mu).dist for mu in opts.lagrange_grid]
+            assert all(d1 >= d2 - 1e-8 for d1, d2 in zip(dists, dists[1:]))
 
     def test_curve_matches_single_target_calls(self):
         psi = purify(example_source())
@@ -281,7 +298,8 @@ class TestOneValuationKernel:
     def test_solutions_are_public_values(self, case):
         psi, obs = list(self._instances())[case]
         qba = solver._LagrangianSolver(solver._Objective(psi, obs, 2), SolverOptions())
-        qba.sweep()
+        for mu in qba.opts.lagrange_grid:
+            qba.solve_at(mu)
         side = len(psi.system_dims) == 2
         for sol in qba.solutions.values():
             povm = Povm(tuple(sol.effects))
@@ -302,26 +320,70 @@ class TestOneValuationKernel:
             assert d0 == obj.witness(effects).distortion
 
 
+class TestBracketSearch:
+    """A target solves the multipliers its bracket search visits, starting
+    with a bisection of the grid, and gets the answer the whole grid gives."""
+
+    def test_multipliers_far_below_the_bracket_are_not_solved(self):
+        # criterion 4's trial-0 instance at its target i = 3, bracketed by 8 and 32
+        rho, p, costs, obs = criterion_4_trial(0)
+        d_floor, d_zero = float((p * costs.min(axis=1)).sum()), float((p @ costs).min())
+        target = d_floor + (np.arange(1, 11) / 11.0)[3] * (d_zero - d_floor)
+        qba = solver._LagrangianSolver(solver._Objective(purify(rho), obs, 2), light_opts(seed=1000))
+        assert qba.for_target(target) is not None
+        assert 0.1 not in qba.solutions and 0.5 not in qba.solutions
+
+    @staticmethod
+    def _instances():
+        """(purification, observable, grid): positive definite cost blocks, so
+        a zero target is infeasible, and a grid whose ends leave room both to
+        shrink and to grow the bracket."""
+        rng = np.random.default_rng(20)
+        yield (purify(random_density(rng, 2)),
+               DistortionObservable(tuple(random_density(rng, 2).mat * 2.0 for _ in range(2))),
+               (2.0, 3.0, 4.0, 6.0, 8.0))
+        rng = np.random.default_rng(37)
+        yield (purify(random_density(rng, 3)),
+               DistortionObservable(tuple(random_density(rng, 3).mat * 2.0 for _ in range(2))),
+               (1.0, 2.0, 4.0, 8.0, 16.0, 32.0))
+        yield (purify_joint(random_density(rng, 4), (2, 2)),
+               DistortionObservable(tuple(random_density(rng, 8).mat * 1.5 for _ in range(2))),
+               (2.0, 4.0, 8.0, 16.0, 32.0, 64.0))
+
+    @pytest.mark.parametrize("case", [0, 1, 2])
+    def test_same_points_as_after_solving_the_whole_grid(self, case):
+        psi, obs, grid = list(self._instances())[case]
+        obj, opts = solver._Objective(psi, obs, 2), light_opts(lagrange_grid=grid)
+        full, lazy, probe = (solver._LagrangianSolver(obj, opts) for _ in range(3))
+        for mu in grid:
+            full.solve_at(mu)
+        dist = {mu: probe.solve_at(mu).dist for mu in grid + (4.0 * grid[-1],)}
+        targets = {
+            "mid-range": (dist[grid[2]] + dist[grid[3]]) / 2.0,
+            "grow": (dist[grid[-1]] + dist[4.0 * grid[-1]]) / 2.0,
+            "shrink": (dist[grid[0]] + obj.zero_rate_point()[0]) / 2.0,
+            "infeasible": 0.0,
+        }
+        for name, target in targets.items():
+            a, b = full.for_target(target), lazy.for_target(target)
+            if name == "infeasible":
+                assert a is None and b is None
+                continue
+            assert abs(a.rate - b.rate) <= 1e-12 and abs(a.distortion - b.distortion) <= 1e-12
+            if name == "mid-range":
+                assert set(grid) - set(lazy.solutions)
+            if name == "grow":
+                assert max(lazy.solutions) > grid[-1]
+            if name == "shrink":
+                assert min(lazy.solutions) < grid[0]
+
+
 class TestQuantumBlahutArimoto:
     """The per-multiplier solve: mirror descent on the blocks in range(M)."""
 
-    @staticmethod
-    def _criterion_4_trial(trial):
-        """Source, classical costs and observable of acceptance criterion 4's trial."""
-        rng = np.random.default_rng(404)
-        for t in range(trial + 1):
-            dim = 2 if t % 2 == 0 else 3
-            rho = random_density(rng, dim)
-            costs = rng.uniform(0.1, 2.0, size=(dim, 2))
-            for z in range(dim):
-                costs[z, z % 2] = 0.0
-        eig = eig_hermitian(rho.mat)
-        p = np.clip(eig.eigenvalues, 0.0, None)
-        return rho, p / p.sum(), costs, classical_cost_observable(costs, eig.eigenvectors)
-
     def test_skewed_source_reaches_blahut_arimoto(self):
         # trial 12 has source spectrum 0.996/0.004
-        rho, p, costs, obs = self._criterion_4_trial(12)
+        rho, p, costs, obs = criterion_4_trial(12)
         assert p.min() < 0.005
         mu = 4.555
         opts = SolverOptions(convergence_tol=1e-12, max_iterations=20_000)
@@ -347,6 +409,23 @@ class TestQuantumBlahutArimoto:
                 sol = qba.solve_at(mu)
                 values.append(sol.rate + mu * sol.dist)
             assert np.all(np.diff(values) <= 1e-12 * max(1.0, mu))
+
+    def test_dual_solve_meets_the_constraint(self):
+        # cold, zero and warm starts; Newton reuses the eigendecomposition of
+        # each step its line search accepts
+        rng = np.random.default_rng(23)
+        for _ in range(30):
+            k, r = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            g = rng.standard_normal((k, r, r)) + 1j * rng.standard_normal((k, r, r))
+            k_mats = (g + g.conj().swapaxes(-1, -2)) * rng.uniform(0.5, 5.0)
+            s2 = rng.uniform(0.05, 1.0, r)
+            s2 /= s2.sum()
+            y0 = solver._solve_dual(k_mats, s2, None)
+            h = rng.standard_normal((r, r)) + 1j * rng.standard_normal((r, r))
+            for start in (None, np.zeros((r, r), dtype=complex), y0 + 0.3 * (h + h.conj().T)):
+                w, u = np.linalg.eigh(k_mats + solver._solve_dual(k_mats, s2, start))
+                total = solver._spectral(u, np.exp(w)).sum(axis=0)
+                assert np.abs(total - np.diag(s2)).max() <= 1e-10
 
     def test_solution_does_not_depend_on_solve_order(self):
         # every multiplier starts from the maximally mixed POVM; only the
@@ -853,7 +932,8 @@ class TestSolverOptions:
             SolverOptions(lagrange_grid=(-1.0,))
         for bad in (dict(max_iterations=True, convergence_tol=True), dict(max_iterations=2.5),
                     dict(restarts=True), dict(restarts=2.0), dict(rng_seed=False), dict(rng_seed=1.5),
-                    dict(convergence_tol=True), dict(lagrange_grid=(1.0, True))):
+                    dict(convergence_tol=True), dict(lagrange_grid=(1.0, True)), dict(rng_seed=-5),
+                    dict(convergence_tol="1e-7"), dict(lagrange_grid=(1.0, "2"))):
             with pytest.raises(ValueError):
                 SolverOptions(**bad)
         opts = SolverOptions(restarts=np.int64(2), max_iterations=np.int64(3), rng_seed=np.int64(4))
