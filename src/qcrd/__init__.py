@@ -41,7 +41,6 @@ from .solver import (
     lower_envelope,
     minimize_rate,
     minimize_rate_curve,
-    minimize_rate_qsi,
     sample_sweep,
 )
 from .states import (
@@ -53,7 +52,6 @@ from .states import (
     dephase,
     example_source,
     induced_cq_state,
-    induced_cq_state_qsi,
     pinch_povm,
     purify,
     purify_joint,
@@ -91,12 +89,10 @@ __all__ = [
     "example_observable",
     "example_source",
     "induced_cq_state",
-    "induced_cq_state_qsi",
     "load_problem",
     "lower_envelope",
     "minimize_rate",
     "minimize_rate_curve",
-    "minimize_rate_qsi",
     "mutual_information_cq",
     "parse_problem",
     "partial_trace",

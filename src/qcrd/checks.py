@@ -17,13 +17,7 @@ from .information import (
     mutual_information_cq,
 )
 from .operators import eig_hermitian, partial_trace, tensor
-from .solver import (
-    SolverOptions,
-    blahut_arimoto,
-    minimize_rate,
-    minimize_rate_curve,
-    minimize_rate_qsi,
-)
+from .solver import SolverOptions, blahut_arimoto, minimize_rate, minimize_rate_curve
 from .states import (
     CqState,
     DensityOperator,
@@ -32,7 +26,6 @@ from .states import (
     dephase,
     example_source,
     induced_cq_state,
-    induced_cq_state_qsi,
     purify,
     purify_joint,
     sample_random_povm,
@@ -208,7 +201,7 @@ def check_qsi(instances: int = 5, cmi_instances: int = 50, seed: int = 0,
         run_opts = replace(opts, rng_seed=int(rng.integers(2**31)))
         plain = minimize_rate(purify(rho), delta, target, 2, run_opts)
         psi3 = purify_joint(rho, (2, 1))
-        qsi = minimize_rate_qsi(psi3, delta, target, 2, run_opts)
+        qsi = minimize_rate(psi3, delta, target, 2, run_opts)
         if (plain is None) != (qsi is None):
             worst_red = np.inf
         elif plain is not None:
@@ -221,7 +214,7 @@ def check_qsi(instances: int = 5, cmi_instances: int = 50, seed: int = 0,
         joint = random_density(rng, 4)
         psi = purify_joint(joint, (2, 2))
         povm = sample_random_povm(2, 2, rng.integers(2**63))
-        sigma = induced_cq_state_qsi(psi, povm)
+        sigma = induced_cq_state(psi, povm)
         worst_cmi = max(worst_cmi, abs(conditional_mutual_information_cq(sigma) - _cmi_full_matrix(sigma)))
     checks.append(_check("cmi-density-matrix-oracle", worst_cmi <= 1e-10, worst_cmi, 1e-10))
 

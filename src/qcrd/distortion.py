@@ -84,12 +84,18 @@ def reported_distortion(blocks: np.ndarray, sig: np.ndarray) -> float:
     return 0.0 if -1e-12 < val < 0.0 else val
 
 
-def _distortion(psi: Purification, povm: Povm, delta: DistortionObservable, blocks_on: str) -> float:
+def distortion(psi: Purification, povm: Povm, delta: DistortionObservable) -> float:
+    """Average distortion Tr{sum_x (Delta_x (x) effect_x) psi}, the blocks
+    acting on R (x) B, or on R alone for a bipartite purification.
+
+    Evaluated through the conditional blocks sigma_x = M effect_x^T M^dag,
+    which is algebraically identical to the bilinear form above.
+    """
     if povm.dim != psi.system_dims[0]:
         raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {psi.system_dims[0]}")
     d = psi.reference_dim * psi.side_dim
     if delta.dim != d:
-        raise DimensionMismatch(f"block dimension {delta.dim} != {blocks_on} dimension {d}")
+        raise DimensionMismatch(f"block dimension {delta.dim} != reference*side dimension {d}")
     if povm.outcomes != delta.outcome_count:
         raise DimensionMismatch(
             f"POVM has {povm.outcomes} outcomes but the observable has {delta.outcome_count} blocks"
@@ -98,22 +104,11 @@ def _distortion(psi: Purification, povm: Povm, delta: DistortionObservable, bloc
     return reported_distortion(np.stack(delta.blocks), sig)
 
 
-def distortion(psi: Purification, povm: Povm, delta: DistortionObservable) -> float:
-    """Average distortion Tr{sum_x (Delta_x (x) effect_x) psi}.
-
-    Evaluated through the conditional blocks sigma_x = W effect_x^T W^dag,
-    which is algebraically identical to the bilinear form above.
-    """
-    if len(psi.system_dims) != 1:
-        raise DimensionMismatch("expected a bipartite (reference, system) purification")
-    return _distortion(psi, povm, delta, "reference")
-
-
 def distortion_qsi(psi: Purification, povm: Povm, delta: DistortionObservable) -> float:
-    """Average distortion with side information: blocks act on R (x) B."""
+    """Deprecated alias of :func:`distortion` that demands a tripartite purification."""
     if len(psi.system_dims) != 2:
         raise DimensionMismatch("expected a tripartite (reference, system, side) purification")
-    return _distortion(psi, povm, delta, "reference*side")
+    return distortion(psi, povm, delta)
 
 
 def eigenbasis_observable(rho: DensityOperator) -> DistortionObservable:

@@ -96,7 +96,9 @@ def mutual_information_cq(sigma: CqState) -> float:
     """I(X;R) of a cq state, in bits.
 
     Uses I(X;R) = H(rho_R) - sum_x p(x) H(sigma_x / p(x)); outcomes with
-    p(x) below the eigenvalue floor contribute nothing.
+    p(x) below the eigenvalue floor contribute nothing.  The blocks are read
+    as one quantum system, so for a two-factor state on R (x) B this is
+    I(X;RB); I(X;R|B) is :func:`conditional_mutual_information_cq`.
     """
     return float(cq_information(np.stack(sigma.conditional_ops), 1))
 

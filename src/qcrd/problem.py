@@ -21,12 +21,16 @@ also accepted), matrices are row-major nested lists.
                  "rng_seed": 0}                                  # optional
     }
 
-One :meth:`ProblemSpec.build` serves both settings; a spec without
-``side_info`` is the d_B = 1 case.  With ``side_info`` the joint state is the
-source and the observable blocks act on reference (x) side information; a
-``classical-cost`` observable is lifted as sum_z d(z, x) |w_z><w_z|_R (x) I_B
-over the joint eigenbasis, so it needs dA*dB cost rows.  ``paper-example``
-and ``eigenbasis`` observables need a plain source.  The solver options
+:func:`parse_problem` validates a spec and builds it once: the purification,
+tripartite (R, A, B) with ``side_info`` and bipartite (R, A) without (the
+d_B = 1 case), and the observable, whose blocks act on R (x) B.  A spec the
+solvers cannot run, such as blocks of the wrong dimension, a non-Hermitian
+block or a purification of the wrong length, fails there with
+:class:`ProblemSpecError`; :meth:`ProblemSpec.build` returns what was built.
+With ``side_info`` the joint state is the source, and a ``classical-cost``
+observable is lifted as sum_z d(z, x) |w_z><w_z|_R (x) I_B over the joint
+eigenbasis, so it needs dA*dB cost rows.  ``paper-example`` and
+``eigenbasis`` observables need a plain source.  The solver options
 ``restarts`` and ``rng_seed`` are still parsed and validated, but the
 solver is deterministic and ignores them.
 """
@@ -45,7 +49,7 @@ from .distortion import (
     eigenbasis_observable,
     example_observable,
 )
-from .operators import eig_hermitian, tensor, trace_distance
+from .operators import eig_hermitian, partial_trace, tensor, trace_distance
 from .solver import SolverOptions
 from .states import (
     DensityOperator,
@@ -101,83 +105,45 @@ def _parse_vector(entries, what: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """Validated problem definition ready for the solvers."""
+    """Validated problem, built once when it is parsed.
+
+    The purification is tripartite (R, A, B) with ``side_info`` and bipartite
+    (R, A) without; the observable's blocks act on R (x) B.
+    """
 
     source: DensityOperator
-    observable_spec: dict
-    outcomes: int | None = None
-    joint: DensityOperator | None = None
-    side_dims: tuple[int, int] | None = None
-    purification_vector: np.ndarray | None = None
+    purification: Purification
+    observable: DistortionObservable
     solver: SolverOptions = SolverOptions()
     preset: str | None = None
 
     @property
     def has_side_info(self) -> bool:
-        return self.joint is not None
+        return len(self.purification.system_dims) == 2
 
     def build(self) -> tuple[Purification, DistortionObservable, int]:
-        """Purification, observable, and outcome count; the purification is
-        tripartite (R, A, B) with ``side_info`` and bipartite (R, A) without."""
-        if self.has_side_info:
-            psi = purify_joint(self.joint, self.side_dims)
-        elif self.purification_vector is not None:
-            dim = self.source.dim
-            psi = Purification(self.purification_vector, dim, (dim,))
-            if trace_distance(psi.reduced_system_state(), self.source.mat) > 1e-9:
-                raise ProblemSpecError("supplied purification does not reduce to the source state")
-        else:
-            psi = purify(self.source)
-        obs = self._build_observable(psi.side_dim)
-        return psi, obs, self._resolve_outcomes(obs)
+        """Purification, observable, and outcome count."""
+        return self.purification, self.observable, self.observable.outcome_count
 
     def build_qsi(self) -> tuple[Purification, DistortionObservable, int]:
-        """:meth:`build` for a spec that must carry ``side_info``."""
+        """Deprecated: :meth:`build` for a spec that must carry ``side_info``."""
         if not self.has_side_info:
             raise ProblemSpecError("side_info with dims is required for the QSI setting")
         return self.build()
 
-    def _resolve_outcomes(self, obs: DistortionObservable) -> int:
-        if self.outcomes is None:
-            return obs.outcome_count
-        if self.outcomes != obs.outcome_count:
-            raise ProblemSpecError(
-                f"outcomes={self.outcomes} does not match the observable's {obs.outcome_count} blocks"
-            )
-        return self.outcomes
-
-    def _build_observable(self, d_b: int) -> DistortionObservable:
-        kind = self.observable_spec.get("kind")
-        if self.has_side_info and kind in (PAPER_PRESET, "eigenbasis"):
-            raise ProblemSpecError(f"observable kind {kind!r} is not supported with side information")
-        if kind == PAPER_PRESET:
-            return example_observable()
-        if kind == "eigenbasis":
-            return eigenbasis_observable(self.source)
-        if kind == "classical-cost":
-            # one row per eigenvector of the state that R mirrors
-            state = self.joint if self.has_side_info else self.source
-            costs = np.asarray(self.observable_spec["costs"], dtype=float)
-            if costs.shape[0] != state.dim:
-                raise ProblemSpecError(
-                    f"classical-cost has {costs.shape[0]} rows for a state of dimension {state.dim}"
-                )
-            base = classical_cost_observable(costs, eig_hermitian(state.mat).eigenvectors)
-            return DistortionObservable(tuple(tensor(b, np.eye(d_b)) for b in base.blocks))
-        if kind == "blocks":
-            return DistortionObservable(tuple(self.observable_spec["blocks"]))
-        raise ProblemSpecError(f"unknown observable kind {kind!r}")
-
 
 def paper_problem(solver: SolverOptions | None = None) -> ProblemSpec:
     """The worked qubit example: |+>/|0> source with its natural observable."""
-    return ProblemSpec(
-        source=example_source(),
-        observable_spec={"kind": PAPER_PRESET},
-        outcomes=2,
-        solver=solver or SolverOptions(),
-        preset=PAPER_PRESET,
-    )
+    source = example_source()
+    return ProblemSpec(source, purify(source), example_observable(), solver or SolverOptions(), PAPER_PRESET)
+
+
+def _built(what: str, make, *args):
+    """``make(*args)``, a ``ValueError`` it raises reported as a :class:`ProblemSpecError`."""
+    try:
+        return make(*args)
+    except ValueError as exc:
+        raise ProblemSpecError(f"invalid {what}: {exc}") from None
 
 
 def _parse_solver(data) -> SolverOptions:
@@ -189,47 +155,58 @@ def _parse_solver(data) -> SolverOptions:
     unknown = set(data) - known
     if unknown:
         raise ProblemSpecError(f"unknown solver options {sorted(unknown)}")
-    kwargs = dict(data)
-    for key in ("restarts", "max_iterations", "rng_seed", "convergence_tol"):
-        if key in kwargs:
-            kwargs[key] = _parse_number(kwargs[key], f"solver {key}", integer=key != "convergence_tol")
-    if kwargs.get("rng_seed", 0) < 0:
-        raise ProblemSpecError("solver rng_seed must be non-negative")
-    if "lagrange_grid" in kwargs:
-        grid = kwargs["lagrange_grid"]
-        if not isinstance(grid, list):
-            raise ProblemSpecError("solver lagrange_grid must be a list of multipliers")
-        kwargs["lagrange_grid"] = tuple(_parse_number(m, "solver lagrange_grid entry") for m in grid)
+    # JSON may spell a count as an integral float, 2000.0
+    kwargs = {key: _parse_number(value, f"solver {key}", integer=True)
+              if key in ("restarts", "max_iterations", "rng_seed") else value
+              for key, value in data.items()}
     try:
         return SolverOptions(**kwargs)
     except (TypeError, ValueError) as exc:
         raise ProblemSpecError(f"invalid solver options: {exc}") from None
 
 
-def _parse_observable_spec(data) -> dict:
+def _parse_observable(data, psi: Purification, state: DensityOperator) -> DistortionObservable:
+    """The observable of a spec, for ``psi`` purifying ``state``."""
     if data == PAPER_PRESET:
-        return {"kind": PAPER_PRESET}
+        data = {"kind": PAPER_PRESET}
     if not isinstance(data, dict) or "kind" not in data:
         raise ProblemSpecError("observable must be 'paper-example' or an object with a 'kind'")
     kind = data["kind"]
-    if kind in (PAPER_PRESET, "eigenbasis"):
-        return {"kind": kind}
-    if kind == "classical-cost":
-        costs = data.get("costs")
-        if (not isinstance(costs, list) or not costs or not all(isinstance(r, list) for r in costs)
-                or len({len(r) for r in costs}) != 1):
+    if kind in (PAPER_PRESET, "eigenbasis") and len(psi.system_dims) == 2:
+        raise ProblemSpecError(f"observable kind {kind!r} is not supported with side information")
+    if kind == PAPER_PRESET:
+        obs = example_observable()
+    elif kind == "eigenbasis":
+        obs = eigenbasis_observable(state)
+    elif kind == "classical-cost":
+        rows = data.get("costs")
+        if (not isinstance(rows, list) or not rows or not all(isinstance(r, list) for r in rows)
+                or len({len(r) for r in rows}) != 1):
             raise ProblemSpecError("classical-cost observable needs a 'costs' matrix of equal-length rows")
-        return {"kind": kind, "costs": [[_parse_number(v, "cost entry") for v in row] for row in costs]}
-    if kind == "blocks":
+        costs = np.array([[_parse_number(v, "cost entry") for v in row] for row in rows])
+        # one row per eigenvector of the state that R mirrors
+        if costs.shape[0] != state.dim:
+            raise ProblemSpecError(
+                f"classical-cost has {costs.shape[0]} rows for a state of dimension {state.dim}")
+        base = _built("classical-cost observable", classical_cost_observable, costs,
+                      eig_hermitian(state.mat).eigenvectors)
+        obs = DistortionObservable(tuple(tensor(b, np.eye(psi.side_dim)) for b in base.blocks))
+    elif kind == "blocks":
         blocks = data.get("blocks")
         if not isinstance(blocks, list) or not blocks:
             raise ProblemSpecError("blocks observable needs a nonempty 'blocks' list")
-        return {"kind": kind, "blocks": tuple(_parse_matrix(b, f"block {i}") for i, b in enumerate(blocks))}
-    raise ProblemSpecError(f"unknown observable kind {kind!r}")
+        obs = _built("blocks observable", DistortionObservable,
+                     tuple(_parse_matrix(b, f"block {i}") for i, b in enumerate(blocks)))
+    else:
+        raise ProblemSpecError(f"unknown observable kind {kind!r}")
+    d_rb = psi.reference_dim * psi.side_dim
+    if obs.dim != d_rb:
+        raise ProblemSpecError(f"observable blocks have dimension {obs.dim}, expected reference*side {d_rb}")
+    return obs
 
 
 def parse_problem(data: dict) -> ProblemSpec:
-    """Validate a decoded JSON document into a :class:`ProblemSpec`."""
+    """Validate a decoded JSON document and build it into a :class:`ProblemSpec`."""
     if not isinstance(data, dict):
         raise ProblemSpecError("problem definition must be a JSON object")
     if data.get("schema") != SCHEMA_VERSION:
@@ -240,7 +217,6 @@ def parse_problem(data: dict) -> ProblemSpec:
         raise ProblemSpecError(f"unknown fields {sorted(unknown)}")
 
     joint = None
-    side_dims = None
     if "side_info" in data:
         side = data["side_info"]
         if not isinstance(side, dict) or "matrix" not in side or "dims" not in side:
@@ -251,64 +227,43 @@ def parse_problem(data: dict) -> ProblemSpec:
         side_dims = tuple(_parse_number(d, "side_info dims entry", integer=True) for d in dims)
         if min(side_dims) < 1:
             raise ProblemSpecError(f"side_info dims must be positive, got {list(side_dims)}")
-        try:
-            joint = DensityOperator(_parse_matrix(side["matrix"], "side_info matrix"))
-        except ValueError as exc:
-            raise ProblemSpecError(f"invalid side_info state: {exc}") from None
+        joint = _built("side_info state", DensityOperator, _parse_matrix(side["matrix"], "side_info matrix"))
+        marginal = DensityOperator(_built("side_info dims", partial_trace, joint.mat, side_dims, [0]))
 
     source_data = data.get("source")
-    if source_data == PAPER_PRESET:
+    preset = PAPER_PRESET if source_data == PAPER_PRESET else None
+    if preset:
         source = example_source()
-        preset = PAPER_PRESET
     elif isinstance(source_data, dict) and "matrix" in source_data:
-        try:
-            source = DensityOperator(_parse_matrix(source_data["matrix"], "source matrix"))
-        except ValueError as exc:
-            raise ProblemSpecError(f"invalid source state: {exc}") from None
-        preset = None
+        source = _built("source state", DensityOperator, _parse_matrix(source_data["matrix"], "source matrix"))
     elif source_data is None and joint is not None:
-        source = _marginal_source(joint, side_dims)
-        preset = None
+        source = marginal
     else:
         raise ProblemSpecError("source must be 'paper-example' or an object with a 'matrix'")
+    if joint is not None and trace_distance(marginal.mat, source.mat) > 1e-9:
+        raise ProblemSpecError("source does not match the A-marginal of side_info")
 
-    if joint is not None and side_dims is not None and source_data is not None:
-        marginal = _marginal_source(joint, side_dims)
-        if trace_distance(marginal.mat, source.mat) > 1e-9:
-            raise ProblemSpecError("source does not match the A-marginal of side_info")
-
-    purification_vector = None
     if "purification" in data:
         if joint is not None:
             raise ProblemSpecError("purification cannot be combined with side_info")
-        purification_vector = _parse_vector(data["purification"], "purification")
+        psi = _built("purification", Purification, _parse_vector(data["purification"], "purification"),
+                     source.dim, (source.dim,))
+        if trace_distance(psi.reduced_system_state(), source.mat) > 1e-9:
+            raise ProblemSpecError("supplied purification does not reduce to the source state")
+    else:
+        psi = purify(source) if joint is None else purify_joint(joint, side_dims)
 
-    outcomes = data.get("outcomes")
-    if outcomes is not None:
-        outcomes = _parse_number(outcomes, "outcomes", integer=True)
-        if outcomes < 1:
-            raise ProblemSpecError("outcomes must be at least 1")
-
-    return ProblemSpec(
-        source=source,
-        observable_spec=_parse_observable_spec(data.get("observable")),
-        outcomes=outcomes,
-        joint=joint,
-        side_dims=side_dims,
-        purification_vector=purification_vector,
-        solver=_parse_solver(data.get("solver")),
-        preset=preset,
-    )
-
-
-def _marginal_source(joint: DensityOperator, side_dims: tuple[int, int]) -> DensityOperator:
-    from .operators import partial_trace
-
-    return DensityOperator(partial_trace(joint.mat, list(side_dims), [0]))
+    obs = _parse_observable(data.get("observable"), psi, source if joint is None else joint)
+    if data.get("outcomes") is not None:
+        outcomes = _parse_number(data["outcomes"], "outcomes", integer=True)
+        if outcomes != obs.outcome_count:
+            raise ProblemSpecError(
+                f"outcomes={outcomes} does not match the observable's {obs.outcome_count} blocks")
+    return ProblemSpec(source, psi, obs, _parse_solver(data.get("solver")), preset)
 
 
 def load_problem(path) -> ProblemSpec:
-    """Read and validate a JSON problem definition from ``path``."""
+    """Read, validate and build a JSON problem definition from ``path``."""
     try:
         with open(path, encoding="utf-8") as fh:
             data = json.load(fh)

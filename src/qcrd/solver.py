@@ -5,9 +5,10 @@ Four routes to (distortion, rate) points:
 * :func:`sample_sweep` — Monte-Carlo cloud of random POVMs (the figure
   reproduction path, its chunks run in parallel with the same output for
   any worker count), with :func:`lower_envelope` extracting the boundary;
-* :func:`minimize_rate` / :func:`minimize_rate_qsi` — constrained
-  minimization of I(X;R) resp. I(X;R|B) via a search for the multipliers
-  mu that bracket each target, minimizing L = rate + mu * distortion at each;
+* :func:`minimize_rate` / :func:`minimize_rate_curve` — constrained
+  minimization of I(X;R), or of I(X;R|B) for a tripartite purification, via
+  a search for the multipliers mu that bracket each target, minimizing
+  L = rate + mu * distortion at each;
 * :func:`blahut_arimoto` — the classical oracle for effectively classical
   (Schmidt-diagonal) observables;
 * :func:`classical_strategy_rate` — eigenbasis measurement plus classical
@@ -169,7 +170,9 @@ class _Objective:
 
     def __init__(self, psi: Purification, delta: DistortionObservable, outcomes: int):
         d_rb = psi.reference_dim * psi.side_dim
-        if delta.outcome_count != int(outcomes):
+        if isinstance(outcomes, bool) or not isinstance(outcomes, numbers.Integral):
+            raise ValueError(f"outcomes must be an integer, got {outcomes!r}")
+        if delta.outcome_count != outcomes:
             raise DimensionMismatch(
                 f"requested {outcomes} outcomes but the observable has {delta.outcome_count} blocks"
             )
@@ -547,31 +550,14 @@ def minimize_rate(
     outcomes: int,
     opts: SolverOptions | None = None,
 ) -> RdPoint | None:
-    """Best found POVM with distortion <= target_d + tol and minimal I(X;R).
+    """Best found POVM with distortion <= target_d + tol and minimal I(X;R),
+    or I(X;R|B) for a tripartite purification.
 
     Returns ``None`` when no POVM the Lagrangian search finds meets the target.
     The result is an achievable upper bound on the rate-distortion function,
-    witnessed by the returned POVM.
+    witnessed by the returned POVM.  A one-dimensional side factor runs the
+    very code of the plain setting, so it returns the plain result bit for bit.
     """
-    if len(psi.system_dims) != 1:
-        raise DimensionMismatch("expected a bipartite (reference, system) purification")
-    return minimize_rate_curve(psi, delta, [target_d], outcomes, opts)[0]
-
-
-def minimize_rate_qsi(
-    psi: Purification,
-    delta: DistortionObservable,
-    target_d: float,
-    outcomes: int,
-    opts: SolverOptions | None = None,
-) -> RdPoint | None:
-    """Same scheme as :func:`minimize_rate` with objective I(X;R|B).
-
-    A one-dimensional side factor runs the very code of the plain setting,
-    so the trivial-B case returns the plain solver's result bit for bit.
-    """
-    if len(psi.system_dims) != 2:
-        raise DimensionMismatch("expected a tripartite (reference, system, side) purification")
     return minimize_rate_curve(psi, delta, [target_d], outcomes, opts)[0]
 
 

@@ -257,34 +257,19 @@ def conditional_blocks(m: np.ndarray, effects: np.ndarray) -> np.ndarray:
     return _stacked_matmul(_stacked_matmul(m, effects.swapaxes(-1, -2)), m.conj().T)
 
 
-def _induced(psi: Purification, povm: Povm) -> CqState:
+def induced_cq_state(psi: Purification, povm: Povm) -> CqState:
+    """State of (reference, side information, outcome register) after measuring A.
+
+    Block x is Tr_A{(I_R (x) effect_x (x) I_B) psi}, an operator on R (x) B,
+    or on R alone for a bipartite purification.  Written with the matrix M
+    of :meth:`Purification.measured_matrix` it is M effect_x^T M^dagger,
+    which for Schmidt-form purifications without side information is
+    exactly sqrt(rho) effect_x^T sqrt(rho) in the Schmidt basis.
+    """
     if povm.dim != psi.system_dims[0]:
         raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {psi.system_dims[0]}")
     ops = conditional_blocks(psi.measured_matrix(), np.stack(povm.effects))
     return CqState(np.einsum("xrr->x", ops).real, tuple(ops), (psi.reference_dim,) + psi.system_dims[1:])
-
-
-def induced_cq_state(psi: Purification, povm: Povm) -> CqState:
-    """State of (reference, outcome register) after measuring the system.
-
-    Block x is Tr_A{(I_R (x) effect_x) psi}; written with the amplitude
-    matrix W this is W effect_x^T W^dagger, which for Schmidt-form
-    purifications is exactly sqrt(rho) effect_x^T sqrt(rho) in the Schmidt
-    basis.
-    """
-    if len(psi.system_dims) != 1:
-        raise DimensionMismatch("expected a bipartite (reference, system) purification")
-    return _induced(psi, povm)
-
-
-def induced_cq_state_qsi(psi: Purification, povm: Povm) -> CqState:
-    """State of (reference, side information, outcome register) after measuring A.
-
-    Block x is Tr_A{(I_R (x) effect_x (x) I_B) psi}, an operator on R (x) B.
-    """
-    if len(psi.system_dims) != 2:
-        raise DimensionMismatch("expected a tripartite (reference, system, side) purification")
-    return _induced(psi, povm)
 
 
 def _checked_basis(basis, dim: int) -> np.ndarray:

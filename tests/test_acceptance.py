@@ -21,11 +21,9 @@ from qcrd import (
     example_observable,
     example_source,
     induced_cq_state,
-    induced_cq_state_qsi,
     lower_envelope,
     minimize_rate,
     minimize_rate_curve,
-    minimize_rate_qsi,
     mutual_information_cq,
     partial_trace,
     pinch_povm,
@@ -249,7 +247,7 @@ def test_criterion_8_qsi_reduction():
         target = float(rng.uniform(0.3, 0.8)) * d_zero
         opts = solver_opts(seed=2000 + i)
         plain = minimize_rate(purify(rho), obs, target, 2, opts)
-        lifted = minimize_rate_qsi(purify_joint(rho, (2, 1)), obs, target, 2, opts)
+        lifted = minimize_rate(purify_joint(rho, (2, 1)), obs, target, 2, opts)
         assert (plain is None) == (lifted is None)
         if plain is not None:
             gap = abs(plain.rate - lifted.rate)
@@ -261,7 +259,7 @@ def test_criterion_8_qsi_reduction():
         joint = random_density(rng, 4)
         psi = purify_joint(joint, (2, 2))
         povm = sample_random_povm(2, int(rng.integers(2, 4)), rng.integers(2**63))
-        sigma = induced_cq_state_qsi(psi, povm)
+        sigma = induced_cq_state(psi, povm)
         got = conditional_mutual_information_cq(sigma)
 
         # independent oracle: assemble the full density matrix and take

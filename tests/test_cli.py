@@ -6,8 +6,8 @@ import pytest
 
 from qcrd import (
     conditional_mutual_information_cq,
-    distortion_qsi,
-    induced_cq_state_qsi,
+    distortion,
+    induced_cq_state,
     load_problem,
     sweep_povm,
     tensor,
@@ -334,8 +334,8 @@ class TestQsiCurve:
         psi, delta, k = load_problem(spec).build()
         for i, row in enumerate(lines[3:]):
             povm = sweep_povm(2, k, 4, i)
-            rate = conditional_mutual_information_cq(induced_cq_state_qsi(psi, povm))
-            assert row == f"{_fmt(distortion_qsi(psi, povm, delta))},{_fmt(rate)},{i}"
+            rate = conditional_mutual_information_cq(induced_cq_state(psi, povm))
+            assert row == f"{_fmt(distortion(psi, povm, delta))},{_fmt(rate)},{i}"
         assert i == 49
 
     def test_curve_descent_rows_match_qsi_curve(self, tmp_path):

@@ -231,7 +231,7 @@ class TestDistortionQsi:
         obs = example_observable()
         povm = sample_random_povm(2, 2, 5)
         plain = distortion(purify(rho), povm, obs)
-        lifted = distortion_qsi(purify_joint(rho, (2, 1)), povm, obs)
+        lifted = distortion(purify_joint(rho, (2, 1)), povm, obs)
         assert abs(plain - lifted) < 1e-12
         # (d_A, 1) purifications for further system sizes, with a full-rank observable
         for d_a in (1, 3, 4):
@@ -239,7 +239,7 @@ class TestDistortionQsi:
             povm = sample_random_povm(d_a, 3, rng.integers(2**63))
             obs = DistortionObservable(tuple(random_density(rng, d_a).mat for _ in range(3)))
             plain = distortion(purify(rho), povm, obs)
-            lifted = distortion_qsi(purify_joint(rho, (d_a, 1)), povm, obs)
+            lifted = distortion(purify_joint(rho, (d_a, 1)), povm, obs)
             assert abs(plain - lifted) < 1e-12
 
     def test_identity_side_blocks_ignore_side_factor(self):
@@ -253,7 +253,7 @@ class TestDistortionQsi:
         obs = example_observable()
         lifted = DistortionObservable(tuple(tensor(b, np.eye(2)) for b in obs.blocks))
         povm = sample_random_povm(2, 2, 9)
-        assert abs(distortion_qsi(extended, povm, lifted) - distortion(psi, povm, obs)) < 1e-10
+        assert abs(distortion(extended, povm, lifted) - distortion(psi, povm, obs)) < 1e-10
 
     def test_matches_index_summation_oracle(self):
         rng = np.random.default_rng(43)
@@ -263,7 +263,7 @@ class TestDistortionQsi:
             povm = sample_random_povm(2, 2, rng.integers(2**63))
             blocks = tuple(random_density(rng, 8).mat * rng.uniform(0.5, 2.0) for _ in range(2))
             obs = DistortionObservable(blocks)
-            got = distortion_qsi(psi, povm, obs)
+            got = distortion(psi, povm, obs)
             t = psi.as_tensor()
             expected = 0.0
             for x, block in enumerate(obs.blocks):
@@ -284,4 +284,13 @@ class TestDistortionQsi:
         rng = np.random.default_rng(47)
         psi = purify_joint(random_density(rng, 4), (2, 2))
         with pytest.raises(DimensionMismatch):
-            distortion_qsi(psi, sample_random_povm(2, 2, 1), example_observable())
+            distortion(psi, sample_random_povm(2, 2, 1), example_observable())
+
+    def test_deprecated_alias_is_distortion(self):
+        rng = np.random.default_rng(53)
+        psi3 = purify_joint(random_density(rng, 4), (2, 2))
+        obs = DistortionObservable(tuple(random_density(rng, 8).mat for _ in range(2)))
+        povm = sample_random_povm(2, 2, 3)
+        assert distortion_qsi(psi3, povm, obs) == distortion(psi3, povm, obs)
+        with pytest.raises(DimensionMismatch):
+            distortion_qsi(purify(random_density(rng, 2)), povm, example_observable())

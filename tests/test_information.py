@@ -13,7 +13,6 @@ from qcrd import (
     eig_hermitian,
     example_source,
     induced_cq_state,
-    induced_cq_state_qsi,
     mutual_information_cq,
     partial_trace,
     purify,
@@ -170,7 +169,7 @@ class TestConditionalMutualInformation:
         povm = sample_random_povm(3, 2, 13)
         plain = mutual_information_cq(induced_cq_state(purify(rho), povm))
         lifted = conditional_mutual_information_cq(
-            induced_cq_state_qsi(purify_joint(rho, (3, 1)), povm)
+            induced_cq_state(purify_joint(rho, (3, 1)), povm)
         )
         assert abs(plain - lifted) < 1e-12
         for d_a in (1, 2, 4):
@@ -178,7 +177,7 @@ class TestConditionalMutualInformation:
             povm = sample_random_povm(d_a, 3, rng.integers(2**63))
             plain = mutual_information_cq(induced_cq_state(purify(rho), povm))
             lifted = conditional_mutual_information_cq(
-                induced_cq_state_qsi(purify_joint(rho, (d_a, 1)), povm)
+                induced_cq_state(purify_joint(rho, (d_a, 1)), povm)
             )
             assert abs(plain - lifted) < 1e-12
 
@@ -200,7 +199,7 @@ class TestConditionalMutualInformation:
             joint = random_density(rng, dim)
             psi = purify_joint(joint, dims)
             povm = sample_random_povm(dims[0], int(rng.integers(2, 4)), rng.integers(2**63))
-            sigma = induced_cq_state_qsi(psi, povm)
+            sigma = induced_cq_state(psi, povm)
             full = cq_full_matrix(sigma)
             k = sigma.outcome_count
             d_r, d_b = sigma.factor_dims
@@ -220,7 +219,7 @@ class TestConditionalMutualInformation:
             joint = random_density(rng, 4)
             psi = purify_joint(joint, (2, 2))
             povm = sample_random_povm(2, 2, rng.integers(2**63))
-            sigma = induced_cq_state_qsi(psi, povm)
+            sigma = induced_cq_state(psi, povm)
             joint_mi = mutual_information_cq(sigma)
             assert conditional_mutual_information_cq(sigma) <= joint_mi + 1e-9
 
@@ -228,7 +227,7 @@ class TestConditionalMutualInformation:
         rng = np.random.default_rng(23)
         for _ in range(50):
             joint = random_density(rng, 4)
-            sigma = induced_cq_state_qsi(purify_joint(joint, (2, 2)), sample_random_povm(2, 2, rng.integers(2**63)))
+            sigma = induced_cq_state(purify_joint(joint, (2, 2)), sample_random_povm(2, 2, rng.integers(2**63)))
             assert conditional_mutual_information_cq(sigma) >= -1e-9
 
     def test_requires_factor_dims(self):
@@ -246,16 +245,13 @@ class TestConvexityInThePovm:
     def test_rate_of_a_mixture_is_below_the_chord(self, side):
         rng = np.random.default_rng(31 if side else 30)
         worst = -np.inf
-        if side:
-            induce, info = induced_cq_state_qsi, conditional_mutual_information_cq
-        else:
-            induce, info = induced_cq_state, mutual_information_cq
+        info = conditional_mutual_information_cq if side else mutual_information_cq
         for _ in range(200):
             dim = 2 if side else int(rng.integers(2, 4))
             psi = purify_joint(random_density(rng, 4), (2, 2)) if side else purify(random_density(rng, dim))
 
             def rate(povm):
-                return info(induce(psi, povm))
+                return info(induced_cq_state(psi, povm))
 
             k = int(rng.integers(2, 4))
             a = sample_random_povm(dim, k, rng.integers(2**63))

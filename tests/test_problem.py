@@ -25,6 +25,16 @@ def minimal_spec(**overrides):
     return spec
 
 
+def assert_rejected(spec, tmp_path):
+    """Both entry points reject ``spec`` before anything is solved."""
+    with pytest.raises(ProblemSpecError):
+        parse_problem(spec)
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(spec), encoding="utf-8")
+    with pytest.raises(ProblemSpecError):
+        load_problem(path)
+
+
 class TestParsing:
     def test_paper_preset(self):
         problem = parse_problem(minimal_spec())
@@ -84,10 +94,8 @@ class TestParsing:
         assert obs.outcome_count == 2
 
     def test_cost_rows_must_match_source_dimension(self):
-        problem = parse_problem(minimal_spec(observable={"kind": "classical-cost",
-                                                         "costs": [[0.0, 1.0]] * 3}))
         with pytest.raises(ProblemSpecError, match="3 rows.*dimension 2"):
-            problem.build()
+            parse_problem(minimal_spec(observable={"kind": "classical-cost", "costs": [[0.0, 1.0]] * 3}))
 
     def test_blocks_observable(self):
         blocks = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
@@ -98,6 +106,13 @@ class TestParsing:
     def test_outcomes_must_match_observable(self):
         with pytest.raises(ProblemSpecError):
             parse_problem(minimal_spec(outcomes=3)).build()
+
+    def test_non_hermitian_block_rejected_at_parse_time(self, tmp_path):
+        blocks = [[[1.0, 0.5], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
+        assert_rejected(minimal_spec(observable={"kind": "blocks", "blocks": blocks}), tmp_path)
+
+    def test_wrong_length_purification_rejected_at_parse_time(self, tmp_path):
+        assert_rejected(minimal_spec(purification=[1.0, 0.0, 0.0]), tmp_path)
 
     def test_purification_checked_against_source(self):
         from qcrd import purify
@@ -124,7 +139,7 @@ class TestParsing:
             parse_problem(minimal_spec(outcomes=value))
 
     def test_integral_float_outcomes_accepted(self):
-        assert parse_problem(minimal_spec(outcomes=2.0)).outcomes == 2
+        assert parse_problem(minimal_spec(outcomes=2.0)).build()[2] == 2
 
     @pytest.mark.parametrize("key", ["restarts", "max_iterations", "rng_seed"])
     @pytest.mark.parametrize("value", [2.5, True, "3", [3], -1])
@@ -204,6 +219,11 @@ class TestSideInfo:
         spec["side_info"]["dims"] = dims
         with pytest.raises(ProblemSpecError):
             parse_problem(spec)
+
+    def test_blocks_of_the_plain_dimension_rejected_at_parse_time(self, tmp_path):
+        # 2x2 blocks act on R alone; with a 2x2 side system they must be 8x8
+        blocks = [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.0, 1.0]]]
+        assert_rejected(self.joint_spec(observable={"kind": "blocks", "blocks": blocks}), tmp_path)
 
     def test_purification_rejected_with_side_info(self):
         # a 4-entry vector cannot purify the 4x4 joint state (16 amplitudes)

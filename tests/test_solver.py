@@ -19,17 +19,14 @@ from qcrd import (
     classical_cost_observable,
     classical_strategy_rate,
     distortion,
-    distortion_qsi,
     eig_hermitian,
     eigenbasis_observable,
     example_observable,
     example_source,
     induced_cq_state,
-    induced_cq_state_qsi,
     lower_envelope,
     minimize_rate,
     minimize_rate_curve,
-    minimize_rate_qsi,
     mutual_information_cq,
     conditional_mutual_information_cq,
     purify,
@@ -240,6 +237,29 @@ class TestMinimizeRate:
         with pytest.raises(ValueError):
             minimize_rate(purify(example_source()), example_observable(), 1.5, 2, light_opts())
 
+    @pytest.mark.parametrize("outcomes", [2.0, 2.5, 2.7, np.float64(2.0), "2"])
+    def test_non_integral_outcomes_rejected(self, outcomes):
+        psi, obs = purify(example_source()), example_observable()
+        with pytest.raises(ValueError, match="outcomes must be an integer"):
+            minimize_rate_curve(psi, obs, [0.1], outcomes, light_opts())
+        with pytest.raises(ValueError, match="outcomes must be an integer"):
+            sample_sweep(psi, obs, outcomes, 5, seed=0)
+
+    def test_boolean_outcomes_rejected(self):
+        # True would pass as one outcome
+        psi, obs = purify(example_source()), DistortionObservable((np.eye(2),))
+        with pytest.raises(ValueError, match="outcomes must be an integer"):
+            minimize_rate_curve(psi, obs, [0.5], True, light_opts())
+        with pytest.raises(ValueError, match="outcomes must be an integer"):
+            sample_sweep(psi, obs, True, 5, seed=0)
+
+    def test_numpy_integer_outcomes_accepted(self):
+        psi, obs = purify(example_source()), example_observable()
+        point = minimize_rate_curve(psi, obs, [0.1], np.int64(2), light_opts())[0]
+        assert point.rate == minimize_rate_curve(psi, obs, [0.1], 2, light_opts())[0].rate
+        swept = sample_sweep(psi, obs, np.int64(2), 5, seed=0)
+        assert np.array_equal(swept[1], sample_sweep(psi, obs, 2, 5, seed=0)[1])
+
     def test_outcome_count_must_match_observable(self):
         from qcrd import DimensionMismatch
 
@@ -300,15 +320,11 @@ class TestOneValuationKernel:
         qba = solver._LagrangianSolver(solver._Objective(psi, obs, 2), SolverOptions())
         for mu in qba.opts.lagrange_grid:
             qba.solve_at(mu)
-        side = len(psi.system_dims) == 2
+        info = conditional_mutual_information_cq if len(psi.system_dims) == 2 else mutual_information_cq
         for sol in qba.solutions.values():
             povm = Povm(tuple(sol.effects))
-            if side:
-                assert sol.rate == conditional_mutual_information_cq(induced_cq_state_qsi(psi, povm))
-                assert sol.dist == distortion_qsi(psi, povm, obs)
-            else:
-                assert sol.rate == mutual_information_cq(induced_cq_state(psi, povm))
-                assert sol.dist == distortion(psi, povm, obs)
+            assert sol.rate == info(induced_cq_state(psi, povm))
+            assert sol.dist == distortion(psi, povm, obs)
 
     def test_zero_rate_distortion_is_the_reported_one(self):
         rng = np.random.default_rng(5)
@@ -520,7 +536,7 @@ class TestMinimizeRateQsi:
             target = 0.4 * float((np.clip(eig.eigenvalues, 0, None) @ costs).min())
             opts = light_opts(seed=20 + seed)
             plain = minimize_rate(purify(rho), obs, target, 2, opts)
-            lifted = minimize_rate_qsi(purify_joint(rho, (2, 1)), obs, target, 2, opts)
+            lifted = minimize_rate(purify_joint(rho, (2, 1)), obs, target, 2, opts)
             assert (plain is None) == (lifted is None)
             if plain is not None:
                 # one code path: the trivial side factor changes no bit
@@ -540,12 +556,12 @@ class TestMinimizeRateQsi:
         opts = light_opts(seed=31, convergence_tol=1e-5)
         target = 0.12
         plain = minimize_rate(psi, obs, target, 2, opts)
-        qsi = minimize_rate_qsi(extended, lifted_obs, target, 2, opts)
+        qsi = minimize_rate(extended, lifted_obs, target, 2, opts)
         assert plain is not None and qsi is not None
         assert abs(plain.rate - qsi.rate) < 1e-4
-        sigma = induced_cq_state_qsi(extended, qsi.povm)
+        sigma = induced_cq_state(extended, qsi.povm)
         assert abs(conditional_mutual_information_cq(sigma) - qsi.rate) < 1e-10
-        assert abs(distortion_qsi(extended, qsi.povm, lifted_obs) - qsi.distortion) < 1e-10
+        assert abs(distortion(extended, qsi.povm, lifted_obs) - qsi.distortion) < 1e-10
 
     def test_side_information_never_hurts(self):
         rng = np.random.default_rng(17)
@@ -562,7 +578,7 @@ class TestMinimizeRateQsi:
         w_joint = np.transpose(t, (0, 2, 1)).reshape(8, 2)
         psi_unconditioned = Purification(w_joint.reshape(-1), 8, (2,))
         plain = minimize_rate(psi_unconditioned, obs, target, 2, opts)
-        qsi = minimize_rate_qsi(psi, obs, target, 2, opts)
+        qsi = minimize_rate(psi, obs, target, 2, opts)
         assert plain is not None and qsi is not None
         assert qsi.rate <= plain.rate + 1e-4
 
@@ -571,8 +587,8 @@ class TestMinimizeRateQsi:
         best_sampled = np.inf
         for seed in range(500):
             povm = sample_random_povm(2, 2, (4141, seed))
-            if distortion_qsi(psi, povm, obs) <= target + 1e-9:
-                sigma = induced_cq_state_qsi(psi, povm)
+            if distortion(psi, povm, obs) <= target + 1e-9:
+                sigma = induced_cq_state(psi, povm)
                 best_sampled = min(best_sampled, conditional_mutual_information_cq(sigma))
         assert qsi.rate <= best_sampled + 1e-6
 
@@ -621,7 +637,7 @@ class TestMinimizeRateQsi:
 
         opts = light_opts(seed=77, convergence_tol=1e-6)
         for target in (0.10, 0.20):
-            point = minimize_rate_qsi(psi, obs, target, 2, opts)
+            point = minimize_rate(psi, obs, target, 2, opts)
             assert point is not None
             assert abs(point.rate - brute(target)) < 1e-3
 
@@ -661,8 +677,8 @@ class TestSampleSweep:
         psi = purify_joint(random_density(rng, 4), (2, 2))
         obs = DistortionObservable(tuple(random_density(rng, 8).mat * 1.5 for _ in range(2)))
         yield (psi, obs,
-               lambda psi, povm: conditional_mutual_information_cq(induced_cq_state_qsi(psi, povm)),
-               distortion_qsi)
+               lambda psi, povm: conditional_mutual_information_cq(induced_cq_state(psi, povm)),
+               distortion)
 
     def test_matches_per_sample_povm_construction(self):
         # one rate function: sample i's rate is the public function's rate of

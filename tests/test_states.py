@@ -13,7 +13,6 @@ from qcrd import (
     eig_hermitian,
     example_source,
     induced_cq_state,
-    induced_cq_state_qsi,
     partial_trace,
     pinch_povm,
     purify,
@@ -222,11 +221,15 @@ class TestInducedCqState:
             for op in sigma.conditional_ops:
                 assert np.linalg.eigvalsh(op).min() > -1e-10
 
-    def test_requires_bipartite_purification(self):
+    def test_trivial_side_factor_is_the_plain_state(self):
         rng = np.random.default_rng(37)
-        psi = purify_joint(random_density(rng, 4), (2, 2))
-        with pytest.raises(DimensionMismatch):
-            induced_cq_state(psi, sample_random_povm(2, 2, 1))
+        for d in (1, 2, 3, 4):
+            rho = random_density(rng, d)
+            povm = sample_random_povm(d, 3, rng.integers(2**63))
+            plain = induced_cq_state(purify(rho), povm)
+            lifted = induced_cq_state(purify_joint(rho, (d, 1)), povm)
+            assert np.array_equal(plain.probs, lifted.probs)
+            assert all(np.array_equal(a, b) for a, b in zip(plain.conditional_ops, lifted.conditional_ops))
 
 
 class TestInducedCqStateQsi:
@@ -235,25 +238,25 @@ class TestInducedCqStateQsi:
         rho = random_density(rng, 3)
         povm = sample_random_povm(3, 2, 7)
         plain = induced_cq_state(purify(rho), povm)
-        lifted = induced_cq_state_qsi(purify_joint(rho, (3, 1)), povm)
+        lifted = induced_cq_state(purify_joint(rho, (3, 1)), povm)
         assert lifted.factor_dims == (3, 1)
         for a, b in zip(plain.conditional_ops, lifted.conditional_ops):
-            assert np.abs(a - b).max() < 1e-12
+            assert np.array_equal(a, b)
         for d_a in (1, 2, 4):
             rho = random_density(rng, d_a)
             povm = sample_random_povm(d_a, 3, rng.integers(2**63))
             plain = induced_cq_state(purify(rho), povm)
-            lifted = induced_cq_state_qsi(purify_joint(rho, (d_a, 1)), povm)
+            lifted = induced_cq_state(purify_joint(rho, (d_a, 1)), povm)
             assert lifted.factor_dims == (d_a, 1)
-            assert np.abs(plain.probs - lifted.probs).max() < 1e-12
+            assert np.array_equal(plain.probs, lifted.probs)
             for a, b in zip(plain.conditional_ops, lifted.conditional_ops):
-                assert np.abs(a - b).max() < 1e-12
+                assert np.array_equal(a, b)
 
     def test_trivial_povm_halves_joint_state(self):
         rng = np.random.default_rng(43)
         joint = random_density(rng, 4)
         psi = purify_joint(joint, (2, 2))
-        sigma = induced_cq_state_qsi(psi, Povm((np.eye(2) / 2, np.eye(2) / 2)))
+        sigma = induced_cq_state(psi, Povm((np.eye(2) / 2, np.eye(2) / 2)))
         t = psi.as_tensor()
         rho_rb = np.einsum("rab,sad->rbsd", t, t.conj()).reshape(8, 8)
         for op in sigma.conditional_ops:
@@ -269,7 +272,7 @@ class TestInducedCqStateQsi:
         )
         psi = purify_joint(DensityOperator(joint), (2, 2))
         povm = Povm((np.diag([1.0, 0.0]), np.diag([0.0, 1.0])))
-        sigma = induced_cq_state_qsi(psi, povm)
+        sigma = induced_cq_state(psi, povm)
         assert np.allclose(sigma.probs, p, atol=1e-12)
         eig = eig_hermitian(joint)
         betas = [beta0, beta1]
@@ -277,11 +280,6 @@ class TestInducedCqStateQsi:
             w = eig.eigenvectors[:, x]  # descending order matches p sorted descending
             expected = p[x] * tensor(np.outer(w, w.conj()), np.outer(betas[x], betas[x].conj()))
             assert np.abs(op - expected).max() < 1e-10
-
-    def test_requires_tripartite_purification(self):
-        rng = np.random.default_rng(47)
-        with pytest.raises(DimensionMismatch):
-            induced_cq_state_qsi(purify(random_density(rng, 2)), sample_random_povm(2, 2, 1))
 
 
 class TestPinch:
