@@ -49,7 +49,7 @@ from .distortion import (
     eigenbasis_observable,
     example_observable,
 )
-from .operators import eig_hermitian, partial_trace, tensor, trace_distance
+from .operators import eig_hermitian, partial_trace, trace_distance
 from .solver import SolverOptions
 from .states import (
     DensityOperator,
@@ -188,9 +188,10 @@ def _parse_observable(data, psi: Purification, state: DensityOperator) -> Distor
         if costs.shape[0] != state.dim:
             raise ProblemSpecError(
                 f"classical-cost has {costs.shape[0]} rows for a state of dimension {state.dim}")
-        base = _built("classical-cost observable", classical_cost_observable, costs,
-                      eig_hermitian(state.mat).eigenvectors)
-        obs = DistortionObservable(tuple(tensor(b, np.eye(psi.side_dim)) for b in base.blocks))
+        # sum_z d(z, x) |w_z><w_z| (x) I_B: row z repeated over the vectors w_z (x) e_b
+        obs = _built("classical-cost observable", classical_cost_observable,
+                     np.repeat(costs, psi.side_dim, axis=0),
+                     np.kron(eig_hermitian(state.mat).eigenvectors, np.eye(psi.side_dim)))
     elif kind == "blocks":
         blocks = data.get("blocks")
         if not isinstance(blocks, list) or not blocks:
@@ -231,8 +232,7 @@ def parse_problem(data: dict) -> ProblemSpec:
         marginal = DensityOperator(_built("side_info dims", partial_trace, joint.mat, side_dims, [0]))
 
     source_data = data.get("source")
-    preset = PAPER_PRESET if source_data == PAPER_PRESET else None
-    if preset:
+    if source_data == PAPER_PRESET:
         source = example_source()
     elif isinstance(source_data, dict) and "matrix" in source_data:
         source = _built("source state", DensityOperator, _parse_matrix(source_data["matrix"], "source matrix"))
@@ -259,7 +259,9 @@ def parse_problem(data: dict) -> ProblemSpec:
         if outcomes != obs.outcome_count:
             raise ProblemSpecError(
                 f"outcomes={outcomes} does not match the observable's {obs.outcome_count} blocks")
-    return ProblemSpec(source, psi, obs, _parse_solver(data.get("solver")), preset)
+    # the preset's defaults, such as the curve's grid, hold for the paper's observable only
+    paper = source_data == PAPER_PRESET and data["observable"] in (PAPER_PRESET, {"kind": PAPER_PRESET})
+    return ProblemSpec(source, psi, obs, _parse_solver(data.get("solver")), PAPER_PRESET if paper else None)
 
 
 def load_problem(path) -> ProblemSpec:

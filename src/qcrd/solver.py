@@ -81,11 +81,11 @@ _TINY = 1e-300
 
 @dataclass(frozen=True)
 class RdPoint:
-    """One achievable (distortion, rate) point, optionally with its witness."""
+    """One achievable (distortion, rate) point with its witness POVM."""
 
     distortion: float
     rate: float
-    povm: Povm | None = None
+    povm: Povm
 
 
 @dataclass(frozen=True)
@@ -119,9 +119,9 @@ class RdCurve:
 class SolverOptions:
     """Options of the Lagrangian solver.
 
-    A target's bracket search bisects ``lagrange_grid``, then refines around
-    it; each multiplier it solves runs mirror descent until L improves by less
-    than ``convergence_tol`` bits in one step, or for ``max_iterations`` steps.
+    A target's bracket search bisects ``lagrange_grid``, then grows or narrows
+    the bracket; each multiplier it solves runs mirror descent until L improves
+    by less than ``convergence_tol`` bits in one step, or ``max_iterations`` steps.
     ``restarts`` and ``rng_seed`` are accepted and validated but ignored:
     the solve is convex and deterministic, with one start per multiplier.
     """
@@ -194,7 +194,7 @@ class _Objective:
         """Reported point of the given effects, evaluated like the public functions."""
         povm = Povm(tuple(effects))
         sig = conditional_blocks(self.m, np.stack(povm.effects))
-        return RdPoint(reported_distortion(self.blocks, sig), float(cq_information(sig, self.side_dim)), povm=povm)
+        return RdPoint(reported_distortion(self.blocks, sig), float(cq_information(sig, self.side_dim)), povm)
 
     def zero_rate_point(self) -> tuple[float, np.ndarray]:
         """Best trivial POVM: a single identity effect on the cheapest label."""
@@ -377,7 +377,7 @@ class _MuSolution:
     rate: float
     dist: float
     effects: np.ndarray
-    dual: np.ndarray  # Y / eta, (r, r): warm start of the next Y-solve
+    dual: np.ndarray | None  # Y / eta, (r, r): warm start of the next Y-solve, if solved
 
 
 class _LagrangianSolver:
@@ -393,14 +393,17 @@ class _LagrangianSolver:
     every step with eta <= 1 lowers L; with commuting blocks the step is
     classical Blahut-Arimoto.
 
-    A target solves only the multipliers of its bracket search: a bisection
-    of ``lagrange_grid``, then growth, shrinking and bisection of the
-    bracket.  Solutions are cached per multiplier.  Every solve starts from the
-    maximally mixed POVM, so its result does not depend on the multipliers
-    solved before it; only the Y-solve warm-starts from the nearest one.  A
-    warm start from another multiplier's blocks would carry their near-zero
-    parts (an unused outcome, or a direction of Tr_R sigma_x), which mirror
-    descent regrows by too little per step for the stopping rule to wait.
+    A target solves only the multipliers its bracket search visits.  The
+    bracket runs from the largest infeasible multiplier solved, or else the
+    best trivial POVM, the exact mu = 0 solution, to the smallest feasible
+    one; each step bisects the grid multipliers inside it, grows it fourfold
+    while nothing is feasible, or narrows it.  Solutions are cached per
+    multiplier.  Every solve starts from the maximally mixed POVM, so its
+    result does not depend on the multipliers solved before it; only the
+    Y-solve warm-starts from the nearest one.  A warm start from another
+    multiplier's blocks would carry their near-zero parts (an unused
+    outcome, or a direction of Tr_R sigma_x), which mirror descent regrows
+    by too little per step for the stopping rule to wait.
     """
 
     #: extra rate allowed between the reported witness and the true optimum
@@ -419,7 +422,8 @@ class _LagrangianSolver:
         cw = np.linalg.eigvalsh(self.costs)
         self.cost_spread = float(cw.max() - cw.min())
         self.solutions: dict[float, _MuSolution] = {}
-        self.zero_rate = obj.zero_rate_point()
+        # the best trivial POVM is the exact mu = 0 solution of every Lagrangian
+        self.zero_rate = _MuSolution(0.0, 0.0, *obj.zero_rate_point(), None)
 
     def _effects(self, exponent: np.ndarray) -> np.ndarray:
         """POVM of blocks exp(exponent): conj(W S^-1 s_x S^-1 W^dag + (1 - W W^dag)/k),
@@ -481,66 +485,45 @@ class _LagrangianSolver:
 
     def for_target(self, target: float) -> RdPoint | None:
         tol = self.opts.convergence_tol
-        d0, trivial = self.zero_rate
-        if d0 <= target + tol:
-            return self.obj.witness(trivial)
-        # D(mu) does not increase with mu: bisecting the grid for its first feasible
-        # multiplier (the last if none is) solves the pair bracketing the target on
-        # the whole grid; the multipliers skipped are infeasible or at no lower rate
-        grid = self.opts.lagrange_grid
-        lo_i, hi_i = 0, len(grid) - 1
-        while lo_i < hi_i:
-            mid = (lo_i + hi_i) // 2
-            lo_i, hi_i = (lo_i, mid) if self.solve_at(grid[mid]).dist <= target + tol else (mid + 1, hi_i)
-        self.solve_at(grid[lo_i])
-
-        mixes: list[tuple[float, float, np.ndarray]] = []  # (rate, dist, effects)
-
-        def bracket():
-            feas = [s for s in self.solutions.values() if s.dist <= target + tol]
-            infeas = [s for s in self.solutions.values() if s.dist > target + tol]
-            lo = max(infeas, key=lambda s: s.mu) if infeas else None
-            hi = min(feas, key=lambda s: s.mu) if feas else None
-            return lo, hi
-
-        lo, hi = bracket()
-        mu_grow = max(self.solutions)
-        while hi is None and mu_grow < MU_CAP:
-            mu_grow *= 4.0
-            self.solve_at(mu_grow)
-            lo, hi = bracket()
-        if hi is None:
-            return None  # target below everything the descent can reach
-        mu_shrink = min(self.solutions)
-        while lo is None and mu_shrink > 1e-4:
-            mu_shrink /= 4.0
-            self.solve_at(mu_shrink)
-            lo, hi = bracket()
-
-        for _ in range(16):
-            if hi.rate <= 1e-12 or lo is None:
-                break
-            if hi.mu * (target - hi.dist) <= self.RATE_MARGIN:
-                break
-            # outcome-wise mixture of the bracket witnesses lands on the target;
-            # its rate sits on the chord, whose sag is bounded by the slope gap
-            if lo.dist > target > hi.dist:
-                t = (lo.dist - target) / (lo.dist - hi.dist)
-                mixed = t * hi.effects + (1.0 - t) * lo.effects
-                r, d = self.obj.evaluate(mixed)
-                mixes.append((float(r), float(d), mixed))
-                if (lo.dist - hi.dist) * (hi.mu - lo.mu) / 8.0 <= self.RATE_MARGIN / 4.0:
+        if self.zero_rate.dist <= target + tol:
+            return self.obj.witness(self.zero_rate.effects)
+        mixes: list[_MuSolution] = []  # chord mixtures, which no multiplier solves
+        while True:
+            # D(mu) does not increase with mu, so the bracket holds the target
+            lo = max((s for s in self.solutions.values() if s.dist > target + tol),
+                     key=lambda s: s.mu, default=self.zero_rate)
+            hi = min((s for s in self.solutions.values() if s.dist <= target + tol),
+                     key=lambda s: s.mu, default=None)
+            inside = [m for m in self.opts.lagrange_grid if lo.mu < m and (hi is None or m < hi.mu)]
+            if inside:
+                # bisect the grid for the pair bracketing the target on the whole grid;
+                # the multipliers skipped are infeasible or at no lower rate
+                mu = inside[len(inside) // 2 if hi else (len(inside) - 1) // 2]
+            elif hi is None:
+                if lo.mu >= MU_CAP:
+                    return None  # target below everything the descent can reach
+                mu = 4.0 * lo.mu
+            else:
+                if hi.rate <= 1e-12 or hi.mu * (target - hi.dist) <= self.RATE_MARGIN:
                     break
-            if hi.mu / lo.mu < 1.001:
-                break
-            self.solve_at(math.sqrt(lo.mu * hi.mu))
-            lo, hi = bracket()
+                # outcome-wise mixture of the bracket witnesses lands on the target;
+                # its rate sits on the chord, whose sag is bounded by the slope gap
+                if lo.dist > target > hi.dist:
+                    t = (lo.dist - target) / (lo.dist - hi.dist)
+                    mixed = t * hi.effects + (1.0 - t) * lo.effects
+                    r, d = self.obj.evaluate(mixed)
+                    mixes.append(_MuSolution(math.nan, float(r), float(d), mixed, None))
+                    if (lo.dist - hi.dist) * (hi.mu - lo.mu) / 8.0 <= self.RATE_MARGIN / 4.0:
+                        break
+                if hi.mu < 1.001 * lo.mu:
+                    break
+                mu = math.sqrt(lo.mu * hi.mu) if lo.mu else hi.mu / 4.0
+            self.solve_at(mu)
 
-        candidates = [(s.rate, s.dist, s.effects) for s in self.solutions.values()] + mixes
-        # the bracket's feasible end is among them, so one always qualifies
-        feasible = [(r, d, e) for r, d, e in candidates if d <= target + tol]
-        best = min(feasible, key=lambda c: (c[0], c[1]))
-        return self.obj.witness(best[2])
+        # the bracket's feasible end is among the candidates, so one always qualifies
+        best = min((s for s in [*self.solutions.values(), *mixes] if s.dist <= target + tol),
+                   key=lambda s: (s.rate, s.dist))
+        return self.obj.witness(best.effects)
 
 
 def minimize_rate(

@@ -171,6 +171,18 @@ class TestCurve:
         assert ">D</text>" in svg
         assert ">R (bits)</text>" in svg
 
+    def test_default_grid_of_a_paper_source_spec_reaches_its_d_max(self, tmp_path):
+        # the paper's source with another observable gets the generic grid,
+        # not the preset's 0..0.25: here d_max is 3 and the zero-rate end 0.439
+        spec = write_spec(tmp_path, {"schema": 1, "source": "paper-example",
+                                     "observable": {"kind": "classical-cost", "costs": [[0, 3], [3, 0]]},
+                                     "solver": light_solver()})
+        csv_path = tmp_path / "curve.csv"
+        assert main(["curve", "--spec", spec, "--n", "0", "--out-csv", str(csv_path)]) == 0
+        _, rows = read_rows(csv_path)
+        assert np.allclose([float(r[0]) for r in rows], np.linspace(0.0, 3.0, 26), rtol=0.0, atol=1e-12)
+        assert all(float(r[1]) == 0.0 for r in rows if float(r[0]) >= 0.44)
+
     def test_infeasible_grid_points_marked(self, tmp_path):
         # blocks both the identity: distortion is 1 for every POVM, so small
         # targets are infeasible while d_max allows them on the grid

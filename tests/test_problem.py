@@ -4,7 +4,10 @@ import numpy as np
 import pytest
 
 from qcrd import (
+    DensityOperator,
     ProblemSpecError,
+    classical_cost_observable,
+    eig_hermitian,
     example_observable,
     example_source,
     load_problem,
@@ -92,6 +95,15 @@ class TestParsing:
         _, obs, outcomes = problem.build()
         assert outcomes == 2
         assert obs.outcome_count == 2
+
+    @pytest.mark.parametrize("observable, preset", [
+        ("paper-example", "paper-example"),
+        ({"kind": "paper-example"}, "paper-example"),
+        ({"kind": "classical-cost", "costs": [[0, 3], [3, 0]]}, None),
+        ({"kind": "eigenbasis"}, None),
+    ])
+    def test_preset_needs_the_paper_observable_too(self, observable, preset):
+        assert parse_problem(minimal_spec(observable=observable)).preset == preset
 
     def test_cost_rows_must_match_source_dimension(self):
         with pytest.raises(ProblemSpecError, match="3 rows.*dimension 2"):
@@ -193,6 +205,22 @@ class TestSideInfo:
         assert psi.dims == (4, 2, 2)
         assert obs.dim == 8
         assert outcomes == 2
+
+    @pytest.mark.parametrize("side_dim", [1, 2, 3])
+    def test_classical_cost_blocks_are_the_plain_blocks_tensor_identity(self, side_dim):
+        rng = np.random.default_rng(side_dim)
+        d = 2 * side_dim
+        for _ in range(10):
+            g = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            joint = DensityOperator(g @ g.conj().T / np.trace(g @ g.conj().T).real)
+            costs = rng.uniform(0.0, 2.0, size=(d, 3))
+            spec = {"schema": 1, "observable": {"kind": "classical-cost", "costs": costs.tolist()},
+                    "side_info": {"matrix": [[[v.real, v.imag] for v in row] for row in joint.mat],
+                                  "dims": [2, side_dim]}}
+            plain = classical_cost_observable(costs, eig_hermitian(joint.mat).eigenvectors)
+            for a, b in zip(parse_problem(spec).observable.blocks, plain.blocks):
+                lifted = tensor(b, np.eye(side_dim))
+                assert np.array_equal(a, lifted) if side_dim == 1 else np.abs(a - lifted).max() <= 1e-15
 
     def test_inconsistent_source_rejected(self):
         spec = self.joint_spec(source={"matrix": [[0.5, 0.0], [0.0, 0.5]]})

@@ -75,6 +75,28 @@ def criterion_4_trial(trial):
     return rho, p / p.sum(), costs, classical_cost_observable(costs, eig.eigenvectors)
 
 
+def binary_rate_distortion(p, costs, target):
+    """R(D) in bits of a binary source with costs [[0, a], [b, 0]]: the
+    Blahut-Arimoto fixed point at slope beta in closed form, bisected in beta."""
+    a, b = costs[0, 1], costs[1, 0]
+
+    def point(beta):
+        ea, eb = math.exp(-beta * a), math.exp(-beta * b)
+        # Z_z = sum_x q_x exp(-beta c(z, x)), from sum_z p_z exp(-beta c(z, x)) / Z_z = 1
+        z0, z1 = p[0] * (1.0 - ea * eb) / (1.0 - eb), p[1] * (1.0 - ea * eb) / (1.0 - ea)
+        q0, q1 = np.linalg.solve([[1.0, ea], [eb, 1.0]], [z0, z1])
+        dist = p[0] * q1 * ea * a / z0 + p[1] * q0 * eb * b / z1
+        return dist, (-beta * dist - p[0] * math.log(z0) - p[1] * math.log(z1)) / math.log(2.0)
+
+    lo, hi = 0.0, 1.0
+    while point(hi)[0] > target:
+        lo, hi = hi, 2.0 * hi
+    for _ in range(100):
+        mid = (lo + hi) / 2.0
+        lo, hi = (mid, hi) if point(mid)[0] > target else (lo, mid)
+    return point(hi)[1]
+
+
 class TestBlahutArimoto:
     def test_lossless_limit_is_source_entropy(self):
         p = np.array([0.3, 0.7])
@@ -390,8 +412,26 @@ class TestBracketSearch:
                 assert set(grid) - set(lazy.solutions)
             if name == "grow":
                 assert max(lazy.solutions) > grid[-1]
-            if name == "shrink":
-                assert min(lazy.solutions) < grid[0]
+
+    def test_trivial_povm_is_the_lower_end_near_zero_rate(self):
+        # every grid multiplier is feasible at 0.999 d0, so the bracket's lower
+        # end is the trivial POVM at mu = 0 until a smaller multiplier misses
+        rho, p, costs, obs = criterion_4_trial(4)
+        d0 = float((p @ costs).min())
+        # blahut_arimoto takes about 50 s at 0.999 d0, so the closed form stands in
+        # there; it is checked against blahut_arimoto where that one is fast
+        assert abs(binary_rate_distortion(p, costs, 0.7 * d0) - blahut_arimoto(p, costs, 0.7 * d0)) <= 1e-8
+        target = 0.999 * d0
+        point = minimize_rate(purify(rho), obs, target, 2, light_opts(lagrange_grid=(2.0, 8.0, 32.0)))
+        assert point.distortion <= target + 1e-6
+        assert abs(point.rate - binary_rate_distortion(p, costs, target)) <= 2e-5
+
+    @pytest.mark.parametrize("grid", [(1e-6,), (5.0,), (1e6,)])
+    def test_one_multiplier_grid_reaches_every_target(self, grid):
+        psi, obs = purify(example_source()), example_observable()
+        for target in (0.01, 0.05, 0.1, 0.15, 0.2, 0.24, 0.2499):
+            point = minimize_rate(psi, obs, target, 2, light_opts(lagrange_grid=grid))
+            assert point is not None and distortion(psi, point.povm, obs) <= target + 1e-6
 
 
 class TestQuantumBlahutArimoto:
