@@ -9,6 +9,7 @@ import pytest
 import qcrd.solver as solver
 from qcrd import (
     DensityOperator,
+    DimensionMismatch,
     DistortionObservable,
     InvalidDistribution,
     Povm,
@@ -172,6 +173,16 @@ class TestBlahutArimoto:
         costs[0, 1] = bad
         with pytest.raises(ValueError):
             blahut_arimoto(np.array([0.5, 0.5]), costs, 0.1)
+
+    @pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+    def test_rejects_negative_or_non_finite_tol(self, tol):
+        # a negative or NaN tol is never met, so the slope bracket would run down to 1e-12
+        with pytest.raises(ValueError, match="tol"):
+            blahut_arimoto(np.array([0.5, 0.5]), HAMMING, 0.11, tol=tol)
+
+    def test_cost_matrix_without_columns_is_a_dimension_mismatch(self):
+        with pytest.raises(DimensionMismatch):
+            blahut_arimoto(np.array([0.5, 0.5]), np.zeros((2, 0)), 0.1)
 
 
 class TestClassicalStrategy:
@@ -432,6 +443,86 @@ class TestBracketSearch:
         for target in (0.01, 0.05, 0.1, 0.15, 0.2, 0.24, 0.2499):
             point = minimize_rate(psi, obs, target, 2, light_opts(lagrange_grid=grid))
             assert point is not None and distortion(psi, point.povm, obs) <= target + 1e-6
+
+
+class TestSlopeSearch:
+    """The safeguarded regula falsi that narrows both solvers' slope brackets."""
+
+    @staticmethod
+    def _assert_halving(widths):
+        """The bracket after n rounds is at most 2^(-n/2) of the first one."""
+        for n, width in enumerate(widths):
+            assert width <= widths[0] * 2.0 ** (-n / 2.0) * (1.0 + 1e-9)
+
+    @pytest.fixture
+    def brackets(self, monkeypatch):
+        """Widths of the brackets that each slope search is given, in order."""
+        runs = {}
+        call = solver._SlopeSearch.__call__
+
+        def recorded(search, lo, f_lo, hi, f_hi):
+            runs.setdefault(search, []).append(hi - lo)
+            return call(search, lo, f_lo, hi, f_hi)
+
+        monkeypatch.setattr(solver._SlopeSearch, "__call__", recorded)
+        return runs
+
+    @pytest.mark.parametrize("curve, root", [
+        (lambda x: math.exp(-5.0 * x), 0.3),
+        (lambda x: 1.0 if x < 0.3 else 0.0, 0.3),
+        (lambda x: 1.0 - x**20, 0.95),
+        (lambda x: max(0.0, 1.0 - x) ** 8, 0.05),
+    ], ids=["smooth", "jump", "flat-then-steep", "steep-then-flat"])
+    def test_bracket_halves_every_two_rounds(self, curve, root):
+        target = 0.5 * (curve(root - 1e-3) + curve(root + 1e-3))
+        search, lo, hi, widths = solver._SlopeSearch(), 0.0, 1.0, []
+        while hi - lo > 1e-9:
+            widths.append(hi - lo)
+            x = search(lo, curve(lo) - target, hi, curve(hi) - target)
+            assert lo < x < hi
+            lo, hi = (x, hi) if curve(x) > target else (lo, x)
+        self._assert_halving(widths)
+        # bisection takes 30 rounds from 1 to 1e-9
+        assert len(widths) <= 60 and abs(hi - root) <= 1e-3
+
+    def test_bracket_halves_every_two_rounds_in_both_solvers(self, brackets):
+        rho, p, costs, obs = criterion_4_trial(0)
+        d_floor, d_zero = float((p * costs.min(axis=1)).sum()), float((p @ costs).min())
+        targets = [d_floor + f * (d_zero - d_floor) for f in (0.1, 0.5, 0.9)]
+        minimize_rate_curve(purify(rho), obs, targets, 2, light_opts())
+        for target in targets:
+            blahut_arimoto(p, costs, target)
+        assert len(brackets) >= 4
+        for widths in brackets.values():
+            self._assert_halving(widths)
+
+    @pytest.mark.parametrize("target, bisection", [(0.1, 13), (0.5, 14), (0.9, 13)])
+    def test_jump_of_the_distortion_on_binary_erasure(self, target, bisection):
+        # a uniform bit with erasures at cost 1 and errors at cost 100 has
+        # R(D) = 1 - D, so D(mu) jumps from 1 to 0 at mu = 1: regula falsi has
+        # no slope to follow there, yet solves no more multipliers than bisection
+        obs = classical_cost_observable(np.array([[0.0, 100.0, 1.0], [100.0, 0.0, 1.0]]), np.eye(2))
+        obj = solver._Objective(purify(DensityOperator(np.eye(2) / 2.0)), obs, 3)
+        qba = solver._LagrangianSolver(obj, SolverOptions(max_iterations=1200, convergence_tol=1e-6))
+        point = qba.for_target(target)
+        assert point.distortion <= target + 1e-6 and abs(point.rate - (1.0 - target)) <= 1e-6
+        assert len(qba.solutions) <= bisection
+
+    def test_fewer_rounds_than_bisection_on_the_oracle_benchmark(self, monkeypatch):
+        # the oracle benchmark's first instance, criterion 4's trial 0 at grid
+        # indices 3 and 6: bisection solved 13 multipliers, and 29 and 30 fixed slopes
+        rho, p, costs, obs = criterion_4_trial(0)
+        d_floor, d_zero = float((p * costs.min(axis=1)).sum()), float((p @ costs).min())
+        targets = [d_floor + (i / 11.0) * (d_zero - d_floor) for i in (3, 6)]
+        qba = solver._LagrangianSolver(solver._Objective(purify(rho), obs, 2), light_opts(max_iterations=300))
+        assert all(qba.for_target(target) is not None for target in targets)
+        assert len(qba.solutions) <= 11
+        slopes, fixed_slope = [], solver._ba_fixed_slope
+        monkeypatch.setattr(solver, "_ba_fixed_slope", lambda *args: slopes.append(args[2]) or fixed_slope(*args))
+        for target in targets:
+            slopes.clear()
+            assert blahut_arimoto(p, costs, target) is not None
+            assert len(slopes) <= 16
 
 
 class TestQuantumBlahutArimoto:
