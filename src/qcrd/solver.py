@@ -22,15 +22,16 @@ I(X;R), so the number of system factors alone decides the setting.  Every
 sampled, compared and reported value comes from the kernels behind
 ``mutual_information_cq`` and ``distortion``: sample ``i`` of
 :func:`sample_sweep` has, bit for bit, the rate they give
-``sweep_povm(d, k, seed, i)``.  Only the mirror descent's stopping test
-computes L its own way.
+``sweep_povm(d, k, seed, i)``.  Only the mirror descent's step and stopping
+tests compute L their own way.
 
 L is convex in the blocks: I(X;R) = sum_x D(sigma_x || p_x rho_R),
 I(X;R|B) = const - sum_x D(sigma_x || 1_R (x) Tr_R sigma_x) by joint
 convexity of relative entropy, and distortion is linear.  Each multiplier
-is solved by quantum Blahut-Arimoto: mirror descent with step 1 on the
-blocks sigma_x restricted to the range of the source, with one Newton solve
-per step for the multiplier of the constraint sum_x sigma_x = rho_RB.  The
+is solved by quantum Blahut-Arimoto: mirror descent with step 1, or 2 where
+that lowers L by a margin, on the blocks sigma_x restricted to the range of
+the source, with one Newton solve per step for the multiplier of the
+constraint sum_x sigma_x = rho_RB; every accepted step lowers L.  The
 plain and side-information settings run the same step, and every solve is
 deterministic.  Reported optimizer values are achievable upper bounds
 witnessed by explicit POVMs; no lower bound is computed yet.
@@ -63,6 +64,9 @@ _RANK_CUT = 1e-12
 #: the blocks; a Y-solve cannot represent the spreads that mu ln2 Delta
 #: reaches near MU_CAP in double precision.
 _STEP_SPREAD = 200.0
+#: Over-relaxed mirror-descent step, in base steps; longer ones amplify the round-off
+#: of the Y-solve's warm start from another multiplier, so rates would depend on solve order.
+_OVER_RELAX = 2.0
 
 #: Newton decrement below which a Y-solve takes the full step and stops.
 _NEWTON_EXACT = 1e-12
@@ -120,8 +124,9 @@ class SolverOptions:
     """Options of the Lagrangian solver.
 
     A target's bracket search bisects ``lagrange_grid``, then grows the bracket or
-    narrows it by regula falsi in log mu; each multiplier it solves runs mirror descent
-    until L improves by less than ``convergence_tol`` bits in one step, or ``max_iterations`` steps.
+    narrows it by regula falsi in log mu; each multiplier it solves runs mirror descent, which
+    keeps a doubled step only if it lowers L by 3 ``convergence_tol`` bits, until L improves
+    by less than ``convergence_tol`` bits in one step, or for ``max_iterations`` steps (Y-solves).
     ``restarts`` and ``rng_seed`` are accepted and validated but ignored:
     the solve is convex and deterministic, with one start per multiplier.
     """
@@ -394,7 +399,7 @@ class _MuSolution:
     rate: float
     dist: float
     effects: np.ndarray
-    dual: np.ndarray | None  # Y / eta, (r, r): warm start of the next Y-solve, if solved
+    dual: np.ndarray | None  # Y per unit step, (r, r): warm start of the next Y-solve, if solved
 
 
 class _LagrangianSolver:
@@ -407,8 +412,9 @@ class _LagrangianSolver:
     K_x = V^dag [log tau_x - mu ln2 Delta_x] V, tau_x = 1_R (x) Tr_R sigma_x
     (p_x 1 in the plain setting), and Y solving the constraint.  L minus
     sum_x Tr s_x log s_x is concave, so L is 1-smooth relative to it and
-    every step with eta <= 1 lowers L; with commuting blocks the step is
-    classical Blahut-Arimoto.
+    every step with eta <= 1 lowers L; a step of 2 eta, tried after one that
+    lowered L by 3 tol, is kept only if it does so too, so every accepted step
+    lowers L.  With commuting blocks a step of 1 is classical Blahut-Arimoto.
 
     A target solves only the multipliers its bracket search visits.  The
     bracket runs from the largest infeasible multiplier solved, or else the
@@ -457,35 +463,43 @@ class _LagrangianSolver:
     def _mirror_descent(self, mu: float, dual: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
         """Mirror descent from the maximally mixed POVM, s_x = S^2 / k, until
         L improves by less than the convergence tolerance or for
-        ``max_iterations`` steps; returns the exponents log s_x and Y / eta.
+        ``max_iterations`` steps; returns the exponents log s_x and Y per unit step.
 
-        The step eta caps the exponent spread that mu ln2 Delta adds per step
-        at ``_STEP_SPREAD`` nats, which double precision can still represent.
+        The base step eta caps the exponent spread that mu ln2 Delta adds per step
+        at ``_STEP_SPREAD`` nats, which double precision can still represent.  After
+        a step that lowers L by 3 tol, ``_OVER_RELAX`` eta is tried where that cap
+        allows; it is kept only if it lowers L by 3 tol too, ends the descent at the
+        point it left if it moved L by less than tol, and is redone with eta otherwise.
         """
-        eta = _STEP_SPREAD / max(mu * math.log(2.0) * self.cost_spread, _STEP_SPREAD)
+        tol, scale = self.opts.convergence_tol, mu * math.log(2.0) * self.cost_spread
+        eta = _STEP_SPREAD / max(scale, _STEP_SPREAD)
+        long = _OVER_RELAX * eta if _OVER_RELAX * scale <= _STEP_SPREAD else eta
         s2 = self.s**2
-        exponent = np.broadcast_to(np.diag(np.log(s2 / self.k)), (self.k,) + (s2.size,) * 2).astype(complex)
-        # with step eta the constraint's multiplier is eta times that of step 1
-        y = None if dual is None else eta * dual
-        f_prev = math.inf
-        for _ in range(self.opts.max_iterations):
-            w, u = np.linalg.eigh(exponent)
+        cand = np.broadcast_to(np.diag(np.log(s2 / self.k)), (self.k,) + (s2.size,) * 2).astype(complex)
+        # Y grows linearly with the step: the constraint's multiplier is t times that of step 1
+        t, y, f = eta, None if dual is None else eta * dual, math.inf
+        for n in range(self.opts.max_iterations + 1):
+            w, u = np.linalg.eigh(cand)
             blocks = _spectral(u, np.exp(w))
             tw, tu = np.linalg.eigh(np.einsum("rbi,xij,rcj->xbc", self.v3, blocks, self.v3.conj()))
-            # L on this step's own eigendecompositions: it only decides when to stop, no value is reported
+            # L on this step's own eigendecompositions: it only decides steps and stops, no value is reported
             joint = -(np.exp(w) * w).sum() / math.log(2.0)
             rate = self.obj.h_const - joint + entropy_terms(np.clip(tw, 0.0, None)).sum()
-            f = rate + mu * np.einsum("xij,xji->", self.costs, blocks).real
-            if f_prev - f < self.opts.convergence_tol:
+            f_cand = rate + mu * np.einsum("xij,xji->", self.costs, blocks).real
+            gain = f - f_cand
+            kept = t == eta or gain >= 3.0 * tol
+            if kept:
+                exponent, f, side = cand, f_cand, (tw, tu)
+            if (gain < tol if kept else abs(gain) < tol) or n == self.opts.max_iterations:
                 break
-            f_prev = f
-            log_side = _spectral(tu, np.log(np.maximum(tw, _TINY)))
+            step = long if 3.0 * tol <= gain < math.inf else eta  # the first step is a base step
+            log_side = _spectral(side[1], np.log(np.maximum(side[0], _TINY)))
             k_mats = (np.einsum("rbi,xbc,rcj->xij", self.v3.conj(), log_side, self.v3)
                       - mu * math.log(2.0) * self.costs)
-            k_mats = exponent + eta * (k_mats - exponent)
-            y = _solve_dual(k_mats, s2, y)
-            exponent = k_mats + y
-        return exponent, y / eta
+            k_mats = exponent + step * (k_mats - exponent)
+            y = _solve_dual(k_mats, s2, None if y is None else y * (step / t))
+            t, cand = step, k_mats + y
+        return exponent, y / t
 
     def solve_at(self, mu: float) -> _MuSolution:
         if mu in self.solutions:

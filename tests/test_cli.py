@@ -204,6 +204,33 @@ class TestCurve:
         feasible_descent = [r for r in rows if r[2] == "descent"]
         assert any(abs(float(r[0]) - 1.0) < 1e-12 for r in feasible_descent)
 
+    def test_paper_example_multipliers_take_two_y_solves(self, tmp_path, monkeypatch):
+        # the paper example converges in one mirror step by symmetry; the doubled
+        # second step moves L by less than the tolerance, which ends the descent
+        steps, calls = [], []
+        solve, descend = solver._solve_dual, solver._LagrangianSolver._mirror_descent
+
+        def counted_descent(self, mu, dual):
+            start = len(calls)
+            out = descend(self, mu, dual)
+            steps.append(len(calls) - start)
+            return out
+
+        monkeypatch.setattr(solver, "_solve_dual", lambda *args: calls.append(1) or solve(*args))
+        monkeypatch.setattr(solver._LagrangianSolver, "_mirror_descent", counted_descent)
+        csv_path = tmp_path / "p.csv"
+        code = main(["curve", "--preset", "paper-example", "--n", "0", "--grid", "0.02:0.24:0.02",
+                     "--out-csv", str(csv_path)])
+        assert code == 0
+        assert steps and set(steps) == {2}
+        _, rows = read_rows(csv_path)
+        assert [r[2] for r in rows] == ["descent"] * 12
+        # the rates of base steps only; values, as the CSV prints 12 digits
+        expected = [0.4617803698886912, 0.36660008402350464, 0.289812427784811, 0.2258795633594125,
+                    0.17216596508593285, 0.12713462823549337, 0.0897934839736052, 0.059465578672881936,
+                    0.0356764367589687, 0.018092902392595644, 0.006487860544251656, 0.0007194732205463295]
+        assert np.allclose([float(r[1]) for r in rows], expected, rtol=0.0, atol=1e-12)
+
     def test_grid_outside_dmax_rejected(self, tmp_path):
         code = main(["curve", "--preset", "paper-example", "--n", "10",
                      "--grid", "0:2:0.5", "--out-csv", str(tmp_path / "c.csv"),

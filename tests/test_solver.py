@@ -574,6 +574,46 @@ class TestQuantumBlahutArimoto:
                 total = solver._spectral(u, np.exp(w)).sum(axis=0)
                 assert np.abs(total - np.diag(s2)).max() <= 1e-10
 
+    def test_dual_solve_from_a_start_scaled_by_the_step_ratio(self):
+        # a mirror-descent step t from a point X solves K = X + t (G - X); when
+        # the next step doubles or halves t, Y starts from the last one scaled alike
+        rng = np.random.default_rng(29)
+        for _ in range(20):
+            k, r = int(rng.integers(2, 4)), int(rng.integers(2, 5))
+            g, a = rng.standard_normal((2, k, r, r)) + 1j * rng.standard_normal((2, k, r, r))
+            g, a = (g + g.conj().swapaxes(-1, -2)) * rng.uniform(0.5, 5.0), a + a.conj().swapaxes(-1, -2)
+            s2 = rng.uniform(0.05, 1.0, r)
+            s2 /= s2.sum()
+            x = a + solver._solve_dual(a, s2, None)
+            t = rng.uniform(0.1, 1.0)
+            y = solver._solve_dual(x + t * (g - x), s2, None)
+            for ratio in (2.0, 0.5):
+                k_mats = x + ratio * t * (g - x)
+                w, u = np.linalg.eigh(k_mats + solver._solve_dual(k_mats, s2, ratio * y))
+                total = solver._spectral(u, np.exp(w)).sum(axis=0)
+                assert np.abs(total - np.diag(s2)).max() <= 1e-10
+
+    def test_over_relaxed_steps_on_the_four_level_scaling_instance(self, monkeypatch):
+        # d = k = 4 from rng 5: random source, four Ginibre cost blocks of spectral
+        # norm 1, target 0.8 of the zero-rate distortion; steps of 1 only took 199 Y-solves
+        from qcrd.checks import random_density as regularized_density
+
+        rng = np.random.default_rng(5)
+        rho = regularized_density(rng, 4)
+        blocks = []
+        for _ in range(4):
+            g = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
+            b = g @ g.conj().T
+            blocks.append(b / np.linalg.norm(b, 2))
+        obs = DistortionObservable(tuple(blocks))
+        target = 0.8 * solver._Objective(purify(rho), obs, 4).zero_rate_point()[0]
+        calls, solve = [], solver._solve_dual
+        monkeypatch.setattr(solver, "_solve_dual", lambda *args: calls.append(1) or solve(*args))
+        point = minimize_rate(purify(rho), obs, target, 4)
+        assert len(calls) <= 140
+        assert point.distortion <= target + 1e-7
+        assert point.rate <= 0.14294051557030496 + 1e-7
+
     def test_solution_does_not_depend_on_solve_order(self):
         # every multiplier starts from the maximally mixed POVM; only the
         # Y-solve is warm-started, and its solution is unique
