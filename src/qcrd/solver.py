@@ -307,7 +307,7 @@ def _exp_hessian(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     ratio = np.where(gap > 0.0, -np.expm1(-gap) / np.where(gap > 0.0, gap, 1.0), 1.0)
     gamma = np.exp(np.maximum(w[:, :, None], w[:, None, :])) * ratio
     kron = np.einsum("xai,xbj->xabij", u, u.conj()).reshape(k, r * r, r * r)
-    return np.einsum("xpq,xq,xsq->ps", kron, gamma.reshape(k, r * r), kron.conj())
+    return ((kron * gamma.reshape(k, 1, r * r)) @ kron.conj().swapaxes(1, 2)).sum(axis=0)
 
 
 def _log_fixed_point(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -393,6 +393,12 @@ class _SlopeSearch:
         return lo + min(max(a / (a + b), 0.05, 1.0 - share), 0.95, share) * (hi - lo)
 
 
+def _sandwich_closed(target: float, upper: float, margin: float, *ends: tuple[float, float, float]) -> bool:
+    """Whether a rate ``upper`` achievable at ``target`` is within ``margin`` of R = 0 or of a line supporting the
+    convex R(D) at a bracket end (slope in bits per unit distortion, rate, distortion): Blahut's sandwich, 1972."""
+    return upper - max(0.0, *(rate - slope * (target - dist) for slope, rate, dist in ends)) <= margin
+
+
 @dataclass
 class _MuSolution:
     mu: float
@@ -416,22 +422,23 @@ class _LagrangianSolver:
     lowered L by 3 tol, is kept only if it does so too, so every accepted step
     lowers L.  With commuting blocks a step of 1 is classical Blahut-Arimoto.
 
-    A target solves only the multipliers its bracket search visits.  The
-    bracket runs from the largest infeasible multiplier solved, or else the
-    best trivial POVM, the exact mu = 0 solution, to the smallest feasible
-    one; each step bisects the grid multipliers inside it, grows it fourfold
-    while nothing is feasible, or narrows it by :class:`_SlopeSearch` on
-    (log mu, D).  Solutions are cached per multiplier.  Every solve starts
-    from the maximally mixed POVM, so its result does not depend on the
-    multipliers solved before it; only the Y-solve warm-starts from the
-    nearest one.  A warm start from another multiplier's blocks would carry
-    their near-zero parts (an unused outcome, or a direction of Tr_R sigma_x),
-    which mirror descent regrows by too little per step for the stopping rule to wait.
+    A target solves only the multipliers its bracket search visits.  The bracket runs
+    from the largest infeasible multiplier solved, or else the best trivial POVM, the
+    exact mu = 0 solution, to the smallest feasible one; each step bisects the grid
+    multipliers inside it, grows it fourfold while nothing is feasible, or narrows it by
+    :class:`_SlopeSearch` on (log mu, D) until the better of the feasible end and the
+    chord mixture is within ``RATE_MARGIN`` of the ends' supporting lines at the target,
+    or the bracket collapses.  Solutions are cached per multiplier.  Every solve starts
+    from the maximally mixed POVM, so its result does not depend on the multipliers
+    solved before it; only the Y-solve warm-starts from the nearest one.  A warm start
+    from another multiplier's blocks would carry their near-zero parts (an unused
+    outcome, or a direction of Tr_R sigma_x), which mirror descent regrows by too
+    little per step for the stopping rule to wait.
     """
 
-    #: extra rate allowed between the reported witness and the true optimum
-    #: at the exact target, used to stop narrowing the multiplier bracket.
-    RATE_MARGIN = 2e-4
+    #: bits between the best rate achieved at the target and the bracket ends'
+    #: supporting lines there, below which narrowing the bracket stops.
+    RATE_MARGIN = 2e-5
 
     def __init__(self, obj, opts: SolverOptions):
         self.obj = obj
@@ -536,18 +543,16 @@ class _LagrangianSolver:
                     return None  # target below everything the descent can reach
                 mu = 4.0 * lo.mu
             else:
-                if hi.rate <= 1e-12 or hi.mu * (target - hi.dist) <= self.RATE_MARGIN:
-                    break
-                # outcome-wise mixture of the bracket witnesses lands on the target;
-                # its rate sits on the chord, whose sag is bounded by the slope gap
+                # outcome-wise mixture of the bracket witnesses lands on the target, at a rate at most their chord's
+                upper = hi.rate
                 if lo.dist > target > hi.dist:
                     t = (lo.dist - target) / (lo.dist - hi.dist)
                     mixed = t * hi.effects + (1.0 - t) * lo.effects
                     r, d = self.obj.evaluate(mixed)
                     mixes.append(_MuSolution(math.nan, float(r), float(d), mixed, None))
-                    if (lo.dist - hi.dist) * (hi.mu - lo.mu) / 8.0 <= self.RATE_MARGIN / 4.0:
-                        break
-                if hi.mu < 1.001 * lo.mu:
+                    upper = min(upper, float(r))
+                ends = ((s.mu, s.rate, s.dist) for s in (lo, hi))
+                if _sandwich_closed(target, upper, self.RATE_MARGIN, *ends) or hi.mu < 1.001 * lo.mu:
                     break
                 mu = (math.exp(search(math.log(lo.mu), lo.dist - target, math.log(hi.mu), hi.dist - target))
                       if lo.mu else hi.mu / 4.0)
@@ -628,11 +633,11 @@ def _ba_fixed_slope(p: np.ndarray, costs: np.ndarray, beta: float, eps: float = 
 def blahut_arimoto(p, costs, target_d: float, tol: float = 1e-9) -> float | None:
     """Classical rate-distortion value R(D) in bits.
 
-    Narrows the Lagrange slope by :class:`_SlopeSearch` until the fixed-slope
-    distortion hits ``target_d`` within ``tol``; when the curve has a linear
-    segment the bracket endpoints are chord-interpolated instead.  Returns
-    ``None`` when the target lies below the minimal achievable distortion; a NaN
-    target, a ``tol`` not finite and >= 0 or a non-finite cost raises ``ValueError``.
+    Narrows the Lagrange slope by :class:`_SlopeSearch` and returns the chord of
+    the bracket ends at ``target_d``, which time sharing achieves, once it lies
+    within ``tol`` bits of the ends' supporting lines there.  Returns ``None``
+    when the target lies more than 1e-9 below the minimal achievable distortion;
+    a NaN target, a ``tol`` not finite and >= 0 or a non-finite cost raises ``ValueError``.
     """
     pa = np.asarray(p, dtype=float).reshape(-1)
     if pa.size == 0 or not np.isfinite(pa).all() or float(pa.min()) < -1e-12:
@@ -654,7 +659,7 @@ def blahut_arimoto(p, costs, target_d: float, tol: float = 1e-9) -> float | None
 
     d_floor = float((pa * c.min(axis=1)).sum())
     d_zero = float((pa @ c).min())
-    if target < d_floor - max(tol, 1e-12):
+    if target < d_floor - 1e-9:
         return None
     if target >= d_zero - 1e-12:
         return 0.0
@@ -670,26 +675,21 @@ def blahut_arimoto(p, costs, target_d: float, tol: float = 1e-9) -> float | None
         if hi_beta > 1e12:  # exp() already saturates far earlier
             break
     if hi_dist > target:
-        return None if target < hi_dist - max(tol, 1e-12) else hi_rate
+        return None if target < hi_dist - 1e-9 else hi_rate
 
     search = _SlopeSearch()
-    for _ in range(200):
-        if abs(hi_dist - target) <= tol:
-            return hi_rate
-        if hi_beta - lo_beta <= 1e-12 * max(1.0, hi_beta):
-            break
+    while True:
+        # time sharing of the bracket ends achieves their chord; lo_dist > target >= hi_dist
+        chord = lo_rate + (lo_dist - target) / (lo_dist - hi_dist) * (hi_rate - lo_rate)
+        ends = ((lo_beta / math.log(2.0), lo_rate, lo_dist), (hi_beta / math.log(2.0), hi_rate, hi_dist))
+        if _sandwich_closed(target, chord, tol, *ends) or hi_beta - lo_beta <= 1e-12 * max(1.0, hi_beta):
+            return chord
         mid = search(lo_beta, lo_dist - target, hi_beta, hi_dist - target)
         mid_rate, mid_dist = _ba_fixed_slope(pa, c, mid)
         if mid_dist > target:
             lo_beta, lo_rate, lo_dist = mid, mid_rate, mid_dist
         else:
             hi_beta, hi_rate, hi_dist = mid, mid_rate, mid_dist
-    # linear segment of the curve: interpolate the chord at the target
-    span = lo_dist - hi_dist
-    if span <= 0:
-        return hi_rate
-    t = (lo_dist - target) / span
-    return float(lo_rate + t * (hi_rate - lo_rate))
 
 
 def classical_strategy_rate(rho, delta: DistortionObservable, target_d: float) -> float | None:

@@ -139,6 +139,16 @@ class TestBlahutArimoto:
         assert ba <= brute_boundary + 1e-9
         assert brute_boundary - ba < 1e-6  # the boundary scan pins it down
 
+    def test_rate_tolerance_on_a_steep_slope(self):
+        # the ninth criterion-4-style draw from default_rng(404) (d = 2, costs uniform on
+        # [0, 2)) at 8/11 of the way from d_floor to d_zero, where R(D) falls by about 101 bits
+        # per unit distortion: a distortion tolerance of 1e-9 missed R by 8.4e-8 bits there
+        p = [0.9635460481802233, 0.03645395181977676]
+        costs = [[1.6458775986655292, 0.19535638070449446], [0.6452928745093083, 0.6968918441279104]]
+        # Blahut's lower bound at the optimal slope and the time-shared chord agree on it within 3e-15
+        reference = 0.0495919180930756
+        assert abs(blahut_arimoto(p, costs, 0.21312633404610654) - reference) <= 1e-9
+
     def test_zero_rate_region(self):
         p = np.array([0.8, 0.2])
         d_zero = min(0.2, 0.8)  # best constant answer under Hamming cost
@@ -437,6 +447,17 @@ class TestBracketSearch:
         assert point.distortion <= target + 1e-6
         assert abs(point.rate - binary_rate_distortion(p, costs, target)) <= 2e-5
 
+    def test_paper_example_curve_solves_few_multipliers(self, monkeypatch):
+        # each bracket stops once its best rate at the target is within RATE_MARGIN of its
+        # ends' supporting lines: 29 multipliers here, where a bound on the chord's sag took 37
+        calls, descend = [], solver._LagrangianSolver._mirror_descent
+        monkeypatch.setattr(solver._LagrangianSolver, "_mirror_descent",
+                            lambda *args: calls.append(1) or descend(*args))
+        points = minimize_rate_curve(purify(example_source()), example_observable(),
+                                     0.02 * np.arange(1, 13), 2)
+        assert all(p is not None for p in points)
+        assert len(calls) <= 32
+
     @pytest.mark.parametrize("grid", [(1e-6,), (5.0,), (1e6,)])
     def test_one_multiplier_grid_reaches_every_target(self, grid):
         psi, obs = purify(example_source()), example_observable()
@@ -556,6 +577,24 @@ class TestQuantumBlahutArimoto:
                 sol = qba.solve_at(mu)
                 values.append(sol.rate + mu * sol.dist)
             assert np.all(np.diff(values) <= 1e-12 * max(1.0, mu))
+
+    @pytest.mark.parametrize("r", [2, 4, 8])
+    def test_hessian_is_the_derivative_of_the_gradient(self, r):
+        # the gradient of Y -> sum_x Tr exp(K_x + Y) is sum_x exp(K_x + Y); its
+        # central difference along a Hermitian H is the Hessian applied to vec(H)
+        rng = np.random.default_rng(31 + r)
+        g, h = rng.standard_normal((2, 4, r, r)) + 1j * rng.standard_normal((2, 4, r, r))
+        k_mats, h = g[:3] + g[:3].conj().swapaxes(-1, -2), h[0] + h[0].conj().T
+
+        def grad(y):
+            w, u = np.linalg.eigh(k_mats + y)
+            return solver._spectral(u, np.exp(w)).sum(axis=0)
+
+        w, u = np.linalg.eigh(k_mats)
+        applied = (solver._exp_hessian(w, u) @ h.reshape(-1)).reshape(r, r)
+        eps = 1e-5
+        central = (grad(eps * h) - grad(-eps * h)) / (2.0 * eps)
+        assert np.abs(applied - central).max() <= 1e-6 * np.abs(central).max()
 
     def test_dual_solve_meets_the_constraint(self):
         # cold, zero and warm starts; Newton reuses the eigendecomposition of
