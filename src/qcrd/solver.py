@@ -64,8 +64,8 @@ _RANK_CUT = 1e-12
 #: the blocks; a Y-solve cannot represent the spreads that mu ln2 Delta
 #: reaches near MU_CAP in double precision.
 _STEP_SPREAD = 200.0
-#: Over-relaxed mirror-descent step, in base steps; longer ones amplify the round-off
-#: of the Y-solve's warm start from another multiplier, so rates would depend on solve order.
+#: Over-relaxed mirror-descent step, in base steps.  Each multiplier is solved from
+#: scratch, so any length keeps rates independent of solve order; 2 is the one measured.
 _OVER_RELAX = 2.0
 
 #: Newton decrement below which a Y-solve takes the full step and stops.
@@ -310,11 +310,12 @@ def _exp_hessian(w: np.ndarray, u: np.ndarray) -> np.ndarray:
     return ((kron * gamma.reshape(k, 1, r * r)) @ kron.conj().swapaxes(1, 2)).sum(axis=0)
 
 
-def _log_fixed_point(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray) -> np.ndarray:
-    """Y <- Y + log S^2 - log sum_x exp(K_x + Y), shifted by the top exponent
-    so no exp overflows; exact in one step when all blocks commute."""
+def _log_fixed_point(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray,
+                     steps: int = _FIXED_POINT_STEPS) -> np.ndarray:
+    """Y <- Y + log S^2 - log sum_x exp(K_x + Y), shifted by the top exponent so no exp overflows, for
+    ``steps`` steps or until Y moves by < ``_FIXED_POINT_TOL``; exact in one step when the K_x and S^2 commute."""
     log_s2 = np.diag(np.log(s2))
-    for _ in range(_FIXED_POINT_STEPS):
+    for _ in range(steps):
         w, u = np.linalg.eigh(k_mats + y)
         top = w.max()
         tw, tu = np.linalg.eigh(_spectral(u, np.exp(w - top)).sum(axis=0))
@@ -329,10 +330,10 @@ def _solve_dual(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray | None) -> np.
     """Hermitian Y with sum_x exp(K_x + Y) = diag(s2): damped Newton on the
     convex phi(Y) = sum_x Tr exp(K_x + Y) - Tr(S^2 Y), warm-started from ``y``.
 
-    A cold start (``y`` None), a numerically singular Hessian or a Newton
-    step that finds no Armijo decrease runs the log-domain fixed point.
-    Once the Newton decrement is below ``_NEWTON_EXACT`` the Armijo test is
-    round-off, so the full step is taken.
+    A cold start (``y`` None) takes one log-domain fixed-point step from Y = 0, exact when the K_x
+    and S^2 commute; a numerically singular Hessian or a Newton step that finds no Armijo decrease
+    runs the fixed point until it converges.  Once the Newton decrement is below ``_NEWTON_EXACT``
+    the Armijo test is round-off, so the full step is taken.
     """
     r = s2.size
 
@@ -342,7 +343,7 @@ def _solve_dual(k_mats: np.ndarray, s2: np.ndarray, y: np.ndarray | None) -> np.
         return (np.exp(w).sum() - s2 @ np.diag(trial).real if w.max() <= _EXP_MAX else math.inf), (w, u)
 
     if y is None:
-        y = _log_fixed_point(k_mats, s2, np.zeros((r, r), dtype=complex))
+        y = _log_fixed_point(k_mats, s2, np.zeros((r, r), dtype=complex), 1)
     eye, log_total = np.eye(r), math.log(s2.sum())
     wu = None  # eigendecomposition of K_x + Y when the line search already made it
     for _ in range(_NEWTON_STEPS):
@@ -405,7 +406,6 @@ class _MuSolution:
     rate: float
     dist: float
     effects: np.ndarray
-    dual: np.ndarray | None  # Y per unit step, (r, r): warm start of the next Y-solve, if solved
 
 
 class _LagrangianSolver:
@@ -426,14 +426,13 @@ class _LagrangianSolver:
     from the largest infeasible multiplier solved, or else the best trivial POVM, the
     exact mu = 0 solution, to the smallest feasible one; each step bisects the grid
     multipliers inside it, grows it fourfold while nothing is feasible, or narrows it by
-    :class:`_SlopeSearch` on (log mu, D) until the better of the feasible end and the
-    chord mixture is within ``RATE_MARGIN`` of the ends' supporting lines at the target,
-    or the bracket collapses.  Solutions are cached per multiplier.  Every solve starts
-    from the maximally mixed POVM, so its result does not depend on the multipliers
-    solved before it; only the Y-solve warm-starts from the nearest one.  A warm start
-    from another multiplier's blocks would carry their near-zero parts (an unused
-    outcome, or a direction of Tr_R sigma_x), which mirror descent regrows by too
-    little per step for the stopping rule to wait.
+    :class:`_SlopeSearch` on (log mu, D) until the best feasible solution or chord mixture,
+    which it returns, is within ``RATE_MARGIN`` of the ends' supporting lines at the
+    target, or the bracket collapses.  Solutions are cached per multiplier.  Every solve
+    starts from the maximally mixed POVM and a cold Y-solve, so it depends on mu alone,
+    bit for bit.  A warm start from another multiplier's blocks would carry their
+    near-zero parts (an unused outcome, or a direction of Tr_R sigma_x), which mirror
+    descent regrows by too little per step for the stopping rule to wait.
     """
 
     #: bits between the best rate achieved at the target and the bracket ends'
@@ -453,7 +452,7 @@ class _LagrangianSolver:
         self.cost_spread = float(cw.max() - cw.min())
         self.solutions: dict[float, _MuSolution] = {}
         # the best trivial POVM is the exact mu = 0 solution of every Lagrangian
-        self.zero_rate = _MuSolution(0.0, 0.0, *obj.zero_rate_point(), None)
+        self.zero_rate = _MuSolution(0.0, 0.0, *obj.zero_rate_point())
 
     def _effects(self, exponent: np.ndarray) -> np.ndarray:
         """POVM of blocks exp(exponent): conj(W S^-1 s_x S^-1 W^dag + (1 - W W^dag)/k),
@@ -467,10 +466,11 @@ class _LagrangianSolver:
         root = _spectral(tv, 1.0 / np.sqrt(tw))
         return root @ lam @ root
 
-    def _mirror_descent(self, mu: float, dual: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    def _mirror_descent(self, mu: float) -> np.ndarray:
         """Mirror descent from the maximally mixed POVM, s_x = S^2 / k, until
         L improves by less than the convergence tolerance or for
-        ``max_iterations`` steps; returns the exponents log s_x and Y per unit step.
+        ``max_iterations`` steps; returns the exponents log s_x.  Only the
+        first Y-solve starts cold; each later one starts from the last Y.
 
         The base step eta caps the exponent spread that mu ln2 Delta adds per step
         at ``_STEP_SPREAD`` nats, which double precision can still represent.  After
@@ -484,7 +484,7 @@ class _LagrangianSolver:
         s2 = self.s**2
         cand = np.broadcast_to(np.diag(np.log(s2 / self.k)), (self.k,) + (s2.size,) * 2).astype(complex)
         # Y grows linearly with the step: the constraint's multiplier is t times that of step 1
-        t, y, f = eta, None if dual is None else eta * dual, math.inf
+        t, y, f = eta, None, math.inf
         for n in range(self.opts.max_iterations + 1):
             w, u = np.linalg.eigh(cand)
             blocks = _spectral(u, np.exp(w))
@@ -506,20 +506,12 @@ class _LagrangianSolver:
             k_mats = exponent + step * (k_mats - exponent)
             y = _solve_dual(k_mats, s2, None if y is None else y * (step / t))
             t, cand = step, k_mats + y
-        return exponent, y / t
+        return exponent
 
     def solve_at(self, mu: float) -> _MuSolution:
-        if mu in self.solutions:
-            return self.solutions[mu]
-        dual = None
-        if self.solutions:
-            dual = self.solutions[min(self.solutions, key=lambda m: abs(math.log(m / mu)))].dual
-        exponent, dual = self._mirror_descent(mu, dual)
-        effects = self._effects(exponent)
-        rate, dist = self.obj.evaluate(effects)
-        sol = _MuSolution(mu, float(rate), float(dist), effects, dual)
-        self.solutions[mu] = sol
-        return sol
+        effects = self._effects(self._mirror_descent(mu))
+        self.solutions[mu] = _MuSolution(mu, *map(float, self.obj.evaluate(effects)), effects)
+        return self.solutions[mu]
 
     def for_target(self, target: float) -> RdPoint | None:
         tol = self.opts.convergence_tol
@@ -544,24 +536,19 @@ class _LagrangianSolver:
                 mu = 4.0 * lo.mu
             else:
                 # outcome-wise mixture of the bracket witnesses lands on the target, at a rate at most their chord's
-                upper = hi.rate
                 if lo.dist > target > hi.dist:
                     t = (lo.dist - target) / (lo.dist - hi.dist)
                     mixed = t * hi.effects + (1.0 - t) * lo.effects
-                    r, d = self.obj.evaluate(mixed)
-                    mixes.append(_MuSolution(math.nan, float(r), float(d), mixed, None))
-                    upper = min(upper, float(r))
+                    mixes.append(_MuSolution(math.nan, *map(float, self.obj.evaluate(mixed)), mixed))
+                # the bracket's feasible end is among the candidates, so one always qualifies
+                best = min((s for s in [*self.solutions.values(), *mixes] if s.dist <= target + tol),
+                           key=lambda s: (s.rate, s.dist))
                 ends = ((s.mu, s.rate, s.dist) for s in (lo, hi))
-                if _sandwich_closed(target, upper, self.RATE_MARGIN, *ends) or hi.mu < 1.001 * lo.mu:
-                    break
+                if _sandwich_closed(target, best.rate, self.RATE_MARGIN, *ends) or hi.mu < 1.001 * lo.mu:
+                    return self.obj.witness(best.effects)
                 mu = (math.exp(search(math.log(lo.mu), lo.dist - target, math.log(hi.mu), hi.dist - target))
                       if lo.mu else hi.mu / 4.0)
             self.solve_at(mu)
-
-        # the bracket's feasible end is among the candidates, so one always qualifies
-        best = min((s for s in [*self.solutions.values(), *mixes] if s.dist <= target + tol),
-                   key=lambda s: (s.rate, s.dist))
-        return self.obj.witness(best.effects)
 
 
 def minimize_rate(
@@ -664,32 +651,26 @@ def blahut_arimoto(p, costs, target_d: float, tol: float = 1e-9) -> float | None
     if target >= d_zero - 1e-12:
         return 0.0
 
-    lo_beta, lo_rate, lo_dist = 0.0, 0.0, d_zero
-    hi_beta = 1.0
+    lo, hi = (0.0, 0.0, d_zero), None  # (beta, rate, distortion) ends; no hi until a slope meets the target
+    search = _SlopeSearch()  # fed only by the narrowing rounds, which come last
     while True:
-        hi_rate, hi_dist = _ba_fixed_slope(pa, c, hi_beta)
-        if hi_dist <= target:
-            break
-        lo_beta, lo_rate, lo_dist = hi_beta, hi_rate, hi_dist
-        hi_beta *= 4.0
-        if hi_beta > 1e12:  # exp() already saturates far earlier
-            break
-    if hi_dist > target:
-        return None if target < hi_dist - 1e-9 else hi_rate
-
-    search = _SlopeSearch()
-    while True:
-        # time sharing of the bracket ends achieves their chord; lo_dist > target >= hi_dist
-        chord = lo_rate + (lo_dist - target) / (lo_dist - hi_dist) * (hi_rate - lo_rate)
-        ends = ((lo_beta / math.log(2.0), lo_rate, lo_dist), (hi_beta / math.log(2.0), hi_rate, hi_dist))
-        if _sandwich_closed(target, chord, tol, *ends) or hi_beta - lo_beta <= 1e-12 * max(1.0, hi_beta):
-            return chord
-        mid = search(lo_beta, lo_dist - target, hi_beta, hi_dist - target)
-        mid_rate, mid_dist = _ba_fixed_slope(pa, c, mid)
-        if mid_dist > target:
-            lo_beta, lo_rate, lo_dist = mid, mid_rate, mid_dist
+        if hi is None:
+            if 4.0 * lo[0] > 1e12:  # exp() already saturates far earlier
+                return None if target < lo[2] - 1e-9 else lo[1]
+            beta = 4.0 * lo[0] or 1.0
         else:
-            hi_beta, hi_rate, hi_dist = mid, mid_rate, mid_dist
+            (lo_beta, lo_rate, lo_dist), (hi_beta, hi_rate, hi_dist) = lo, hi
+            # time sharing of the bracket ends achieves their chord; lo_dist > target >= hi_dist
+            chord = lo_rate + (lo_dist - target) / (lo_dist - hi_dist) * (hi_rate - lo_rate)
+            ends = ((b / math.log(2.0), r, d) for b, r, d in (lo, hi))
+            if _sandwich_closed(target, chord, tol, *ends) or hi_beta - lo_beta <= 1e-12 * max(1.0, hi_beta):
+                return chord
+            beta = search(lo_beta, lo_dist - target, hi_beta, hi_dist - target)
+        rate, dist = _ba_fixed_slope(pa, c, beta)
+        if dist > target:
+            lo = beta, rate, dist
+        else:
+            hi = beta, rate, dist
 
 
 def classical_strategy_rate(rho, delta: DistortionObservable, target_d: float) -> float | None:

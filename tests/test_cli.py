@@ -210,9 +210,9 @@ class TestCurve:
         steps, calls = [], []
         solve, descend = solver._solve_dual, solver._LagrangianSolver._mirror_descent
 
-        def counted_descent(self, mu, dual):
+        def counted_descent(self, mu):
             start = len(calls)
-            out = descend(self, mu, dual)
+            out = descend(self, mu)
             steps.append(len(calls) - start)
             return out
 
@@ -437,6 +437,14 @@ class TestCheck:
         assert report["suite"] == "example"
         assert report["passed"] is True
         assert all("slack" in c for c in report["checks"])
+
+    @pytest.mark.parametrize("suite", ["oracle", "qsi"])
+    def test_oracle_and_qsi_suites_pass(self, suite, capsys):
+        code = main(["check", "--suite", suite])
+        assert code == 0
+        report = json.loads(capsys.readouterr().out)
+        assert report["suite"] == suite
+        assert report["passed"] is True
 
     def test_report_to_file(self, tmp_path):
         out = tmp_path / "report.json"

@@ -613,6 +613,20 @@ class TestQuantumBlahutArimoto:
                 total = solver._spectral(u, np.exp(w)).sum(axis=0)
                 assert np.abs(total - np.diag(s2)).max() <= 1e-10
 
+    def test_one_fixed_point_step_is_exact_on_commuting_blocks(self):
+        # the cold start of every Y-solve: with the K_x and S^2 diagonal, one step
+        # from Y = 0 sets Y = log S^2 - log sum_x exp(K_x), which meets the constraint
+        rng = np.random.default_rng(31)
+        for _ in range(50):
+            k, r = int(rng.integers(2, 5)), int(rng.integers(2, 6))
+            k_mats = np.stack([np.diag(rng.uniform(-30.0, 5.0, r)) for _ in range(k)]).astype(complex)
+            s2 = rng.uniform(0.05, 1.0, r)
+            s2 /= s2.sum()
+            y = solver._log_fixed_point(k_mats, s2, np.zeros((r, r), dtype=complex), 1)
+            w, u = np.linalg.eigh(k_mats + y)
+            total = solver._spectral(u, np.exp(w)).sum(axis=0)
+            assert np.abs(total - np.diag(s2)).max() <= 1e-12
+
     def test_dual_solve_from_a_start_scaled_by_the_step_ratio(self):
         # a mirror-descent step t from a point X solves K = X + t (G - X); when
         # the next step doubles or halves t, Y starts from the last one scaled alike
@@ -669,6 +683,28 @@ class TestQuantumBlahutArimoto:
         for mu in grid:
             a, b = up.solutions[mu], down.solutions[mu]
             assert abs(a.rate - b.rate) < 1e-9 and abs(a.dist - b.dist) < 1e-9
+
+    @pytest.mark.parametrize("case", ["side-information", "qutrit"])
+    def test_solution_does_not_depend_on_solve_order_bit_for_bit(self, case):
+        # each multiplier's solve, its first Y-solve included, starts cold
+        rng = np.random.default_rng(17)
+        if case == "side-information":
+            psi = purify_joint(random_density(rng, 4), (2, 2))
+            obs = DistortionObservable(tuple(random_density(rng, 8).mat * 1.5 for _ in range(2)))
+        else:
+            psi = purify(random_density(rng, 3))
+            obs = DistortionObservable(tuple(random_density(rng, 3).mat * 2.0 for _ in range(2)))
+        obj = solver._Objective(psi, obs, 2)
+        grid = (0.3, 1.0, 3.0, 10.0, 30.0)
+        up, down = (solver._LagrangianSolver(obj, light_opts(lagrange_grid=grid)) for _ in range(2))
+        for mu in grid:
+            up.solve_at(mu)
+        for mu in reversed(grid):
+            down.solve_at(mu)
+        for mu in grid:
+            a, b = up.solutions[mu], down.solutions[mu]
+            assert np.array_equal(a.effects, b.effects)
+            assert a.rate == b.rate and a.dist == b.dist
 
     @staticmethod
     def _infeasible_instances():
