@@ -296,17 +296,41 @@ def pinch_povm(povm: Povm, basis) -> Povm:
     return Povm(tuple(dephase(e, v) for e in povm.effects))
 
 
+def _inverse_cholesky_adjoint(m: np.ndarray) -> np.ndarray:
+    """R^{-dag} of stacked Hermitian positive definite m = R^dag R, with R
+    upper triangular and of positive diagonal (its Cholesky factor).
+
+    Row j of R is row j of the trailing block scaled by 1/sqrt of its pivot;
+    eliminating conj(R_ji) times it from each later row i of [m | I] leaves
+    R on the left and R^{-dag} on the right.  Every step is elementwise, so
+    a slice's result does not depend on the stack it is in, and no step
+    depends on d beyond the loop's length.
+    """
+    d = m.shape[-1]
+    aug = np.concatenate([m, np.broadcast_to(np.eye(d, dtype=m.dtype), m.shape)], axis=-1)
+    for j in range(d):
+        aug[..., j, :] *= (1.0 / np.sqrt(aug[..., j, j].real))[..., None]
+        aug[..., j + 1:, :] -= aug[..., j, j + 1:d, None].conj() * aug[..., None, j, :]
+    return aug[..., d:]
+
+
 def povm_effects_from_ginibre(g: np.ndarray) -> np.ndarray:
     """Map stacked Ginibre matrices (..., k, d, d) to POVM effects.
 
-    effect_x = M^{-1/2} G_x^dag G_x M^{-1/2} with M = sum_x G_x^dag G_x, so
-    completeness holds by construction.
+    effect_x = R^{-dag} A_x R^{-1}, where A_x = G_x^dag G_x and
+    M = sum_x A_x = R^dag R is the Cholesky factorization (R upper
+    triangular, positive diagonal), so completeness holds by construction.
+    The effects equal Q_x^dag Q_x for the QR factor Q = G R^{-1} of the
+    stacked (k d, d) Ginibre matrix, a Haar-distributed isometry like the
+    polar factor G M^{-1/2}.  So each sample has the same law as under the
+    symmetric map M^{-1/2} A_x M^{-1/2} of earlier versions, but a given
+    draw G, and so a given seed, names a different POVM under the two.
+    The map calls no LAPACK routine and is batch-invariant: each slice's
+    effects are the same bits whatever stack it is mapped in.
     """
     a = _stacked_matmul(g.conj().swapaxes(-1, -2), g)
-    m = a.sum(axis=-3)
-    w, v = np.linalg.eigh(m)
-    s = _stacked_matmul(v * (1.0 / np.sqrt(w))[..., None, :], v.conj().swapaxes(-1, -2))[..., None, :, :]
-    return _stacked_matmul(_stacked_matmul(s, a), s)
+    w = _inverse_cholesky_adjoint(a.sum(axis=-3))[..., None, :, :]
+    return _stacked_matmul(_stacked_matmul(w, a), w.conj().swapaxes(-1, -2))
 
 
 def _check_povm_size(dim: int, outcomes: int) -> None:
@@ -355,7 +379,12 @@ def sweep_povm(dim: int, outcomes: int, seed: int, index: int) -> Povm:
     """POVM of sample ``index`` of a Monte-Carlo sweep keyed by ``seed``.
 
     It comes from the same draws and the same Ginibre map as the sweep,
-    so the sweep's sample ``index`` is this POVM's rate and distortion.
+    so the sweep's sample ``index`` is this POVM's rate and distortion:
+    effect_x = R^{-dag} G_x^dag G_x R^{-1} with R the Cholesky factor of
+    sum_x G_x^dag G_x (see :func:`povm_effects_from_ginibre`).  The draws
+    are unchanged since the map replaced the symmetric root M^{-1/2}, but
+    a given ``(seed, index)`` now names a different POVM than under it,
+    with the same law.
     """
     _check_povm_size(dim, outcomes)
     if index < 0:
@@ -368,7 +397,10 @@ def sample_random_povm(dim: int, outcomes: int, rng_seed) -> Povm:
     """Random POVM from the Ginibre-square construction, deterministic per seed.
 
     Draws from ``numpy.random.default_rng(rng_seed)``, a stream separate
-    from the sweep's (see :func:`sweep_povm`).
+    from the sweep's (see :func:`sweep_povm`), and whitens them by the
+    Cholesky factor of their Gram sum as :func:`povm_effects_from_ginibre`
+    does.  A given seed names a different POVM than under the symmetric
+    root M^{-1/2} that the map used before, with the same law.
     """
     _check_povm_size(dim, outcomes)
     rng = np.random.default_rng(rng_seed)

@@ -86,6 +86,18 @@ class TestSample:
         rows = "".join(f"{_fmt(d)},{_fmt(r)},{i}\n" for i, (d, r) in enumerate(zip(dist, rate)))
         assert out.read_bytes() == ("distortion,rate_bits,seed_index\n" + rows).encode("utf-8")
 
+    def test_qutrit_example_rows_are_its_sweep(self, tmp_path):
+        # the qutrit spec checks the Ginibre map beyond d = 2 wherever the
+        # command-line byte checks run
+        example = Path(__file__).resolve().parents[1] / "examples" / "qutrit.json"
+        psi, delta, k = load_problem(str(example)).build()
+        assert (psi.system_dims, k) == ((3,), 3)
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--spec", str(example), "--n", "40", "--seed", "1", "--out-csv", str(out)]) == 0
+        dist, rate = sample_sweep(psi, delta, k, 40, 1)
+        rows = "".join(f"{_fmt(d)},{_fmt(r)},{i}\n" for i, (d, r) in enumerate(zip(dist, rate)))
+        assert out.read_bytes() == ("distortion,rate_bits,seed_index\n" + rows).encode("utf-8")
+
     def test_lf_line_endings_and_utf8(self, tmp_path):
         out = tmp_path / "samples.csv"
         main(["sample", "--preset", "paper-example", "--n", "10", "--seed", "0",

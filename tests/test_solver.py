@@ -55,6 +55,10 @@ def random_density(rng, dim):
     return DensityOperator(m / m.trace().real)
 
 
+def ginibre(rng, shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
 def light_opts(seed=0, **kw):
     base = dict(restarts=4, max_iterations=1200, convergence_tol=1e-6,
                 lagrange_grid=(0.1, 0.5, 2.0, 8.0, 32.0, 128.0), rng_seed=seed)
@@ -1056,26 +1060,63 @@ class TestSampleSweep:
         dist, rate = sample_sweep(psi, obs, 2, n, seed=seed)
         g = np.empty((n, 2, 2, 2), dtype=complex)
         for i in range(n):
-            rng = np.random.default_rng((seed, i))
-            g[i] = rng.standard_normal((2, 2, 2)) + 1j * rng.standard_normal((2, 2, 2))
+            g[i] = ginibre(np.random.default_rng((seed, i)), (2, 2, 2))
         sig = conditional_blocks(psi.measured_matrix(), povm_effects_from_ginibre(g))
         assert self._ks_distance(dist, expected_cost(np.stack(obs.blocks), sig)) < 0.0195
         assert self._ks_distance(rate, cq_information(sig, 1)) < 0.0195
 
-    def test_golden_stream(self):
-        # first effect of samples 0 and 1 at seed 0; the tolerance admits
-        # last-bit differences of log, cos and LAPACK between builds, while
-        # any change of the stream moves the entries by order one
+    @pytest.mark.parametrize("instance", ["paper-example", "classical-cost-qutrit"])
+    def test_same_distribution_as_symmetric_root_map(self, instance):
+        # oracle: the map M^{-1/2} A_x M^{-1/2} that the Cholesky whitening
+        # replaced, on independent draws; 0.0195 as above
+        if instance == "paper-example":
+            psi, obs = purify(example_source()), example_observable()
+        else:
+            rho, _, _, obs = criterion_4_trial(1)
+            psi = purify(rho)
+        n, d = 20_000, psi.system_dims[0]
+        dist, rate = sample_sweep(psi, obs, 2, n, seed=5)
+        g = ginibre(np.random.default_rng(6), (n, 2, d, d))
+        a = g.conj().swapaxes(-1, -2) @ g
+        w, v = np.linalg.eigh(a.sum(axis=1))
+        root = ((v / np.sqrt(w)[:, None, :]) @ v.conj().swapaxes(-1, -2))[:, None]
+        sig = conditional_blocks(psi.measured_matrix(), root @ a @ root)
+        assert self._ks_distance(dist, expected_cost(np.stack(obs.blocks), sig)) < 0.0195
+        assert self._ks_distance(rate, cq_information(sig, 1)) < 0.0195
+
+    def test_golden_draws(self):
+        # the Ginibre entries of samples 0 and 1 at seed 0, shape (2, 2, 2);
+        # the tolerance admits last-bit differences of log and cos between
+        # builds, while any change of the stream moves the entries by order one
         h = float.fromhex
         golden = [
-            [[complex(h("0x1.7c8ad30bffe4ep-2"), h("-0x1.97999ed1b38dep-56")),
-              complex(h("0x1.214c60ebbbee6p-2"), h("-0x1.a8a977e92d057p-3"))],
-             [complex(h("0x1.214c60ebbbee9p-2"), h("0x1.a8a977e92d05ap-3")),
-              complex(h("0x1.07b17f9c2e06fp-1"), h("0x1.6f666f2bb5e88p-57"))]],
-            [[complex(h("0x1.e9dcf9bc6a2f7p-2"), h("-0x1.c411ef7721f65p-58")),
-              complex(h("0x1.73f2aa518d7b6p-4"), h("-0x1.2b549400f353bp-2"))],
-             [complex(h("0x1.73f2aa518d7b6p-4"), h("0x1.2b549400f353ap-2")),
-              complex(h("0x1.52b41a6168118p-2"), h("0x1.8ccdaeff23406p-59"))]],
+            ("-0x1.0d13c9f9c8b86p-7", "0x1.58528439b0459p-3"), ("0x1.e579e4625c05ep-1", "0x1.3a33a9db6d21cp-1"),
+            ("-0x1.b37abbcf1ab96p-4", "0x1.63d4c21dd7f3fp+1"), ("0x1.b90e00f15035cp-1", "0x1.16c379247cbb9p+1"),
+            ("0x1.04bb6d44c4bc7p-2", "0x1.7db8142bb14efp-4"), ("-0x1.ab5d5a2cc0933p+0", "0x1.045225085f03ep-1"),
+            ("0x1.4bc963d79ec65p+1", "-0x1.6a538ff2cd65cp-1"), ("0x1.8af019e1173c9p-3", "0x1.022e495de3ba7p-1"),
+            ("-0x1.b88ce93341c49p-2", "0x1.8afb2ee4a86aep+0"), ("0x1.e542c32d494ccp-2", "0x1.fba976c358183p-4"),
+            ("0x1.27760a67ebe1bp-1", "0x1.0f8a8c32e431ap-1"), ("0x1.d8dc7e67c01a7p-1", "-0x1.b05e3cd5f9ad6p-2"),
+            ("-0x1.e911ce9ed17cdp-1", "-0x1.46aa430806cf6p+0"), ("0x1.30c21a889131dp-3", "0x1.3755e3f5cd8f0p-2"),
+            ("0x1.3875da92d7e18p-4", "-0x1.f0bb66931e405p-1"), ("0x1.8be97fd20fae4p+0", "0x1.24ff6c0cb1d4dp-2"),
+        ]
+        expected = np.array([complex(h(re), h(im)) for re, im in golden]).reshape(2, 2, 2, 2)
+        assert np.abs(solver._ginibre_draws(0, 0, 2, (2, 2, 2)) - expected).max() < 1e-12
+
+    def test_golden_stream(self):
+        # first effect of samples 0 and 1 at seed 0, through the Cholesky
+        # whitening of test_golden_draws' entries; the tolerance admits
+        # last-bit differences of log and cos between builds, while any
+        # change of the stream or the map moves the entries by order one
+        h = float.fromhex
+        golden = [
+            [[complex(h("0x1.08107dbab83aep-1"), h("0x1.9f2766f4c9f2ep-60")),
+              complex(h("0x1.2121a0c13c826p-2"), h("-0x1.a899dfa166366p-3"))],
+             [complex(h("0x1.2121a0c13c828p-2"), h("0x1.a899dfa166366p-3")),
+              complex(h("0x1.7bccd6ceeb7cep-2"), h("0x1.0000000000000p-56"))]],
+            [[complex(h("0x1.e85c1e94b06adp-2"), h("-0x1.2eefd92b2af0ap-58")),
+              complex(h("0x1.8808335fcc1a0p-4"), h("-0x1.2a1a0e4ca2d2cp-2"))],
+             [complex(h("0x1.8808335fcc1a1p-4"), h("0x1.2a1a0e4ca2d2cp-2")),
+              complex(h("0x1.5434f58921d65p-2"), h("0x1.0000000000000p-58"))]],
         ]
         for i, expected in enumerate(golden):
             assert np.abs(sweep_povm(2, 2, 0, i).effects[0] - np.array(expected)).max() < 1e-12

@@ -372,7 +372,26 @@ class TestStackedMatmul:
             assert product.shape == (a @ b).shape
             assert np.abs(product - a @ b).max() < 1e-13
 
-    @pytest.mark.parametrize("d", [3, 8])
+    @pytest.mark.parametrize("k", [1, 2, 3])
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 8])
+    def test_ginibre_map_matches_lapack_cholesky(self, d, k):
+        # oracle: R^{-dag} A_x R^{-1} with R^dag = L from LAPACK's M = L L^dag.
+        # Both sides lose accuracy as eps cond(M) on an ill-conditioned M,
+        # which a k = 1 square draws now and then, so the 1e-12 bounds widen
+        # to a few times that on such draws
+        g = ginibre(np.random.default_rng(10 * d + k), (64, k, d, d))
+        a = g.conj().swapaxes(-1, -2) @ g
+        m = a.sum(axis=1)
+        r_inv = np.linalg.inv(np.linalg.cholesky(m).conj().swapaxes(-1, -2))[:, None]
+        expected = r_inv.conj().swapaxes(-1, -2) @ a @ r_inv
+        effects = povm_effects_from_ginibre(g)
+        tol = np.maximum(1e-12, 8 * np.finfo(float).eps * np.linalg.cond(m))
+        assert np.all(np.abs(effects - expected).max(axis=(1, 2, 3)) <= tol)
+        assert np.all(np.abs(effects.sum(axis=1) - np.eye(d)).max(axis=(1, 2)) <= tol)
+        hermitian = (effects + effects.conj().swapaxes(-1, -2)) / 2
+        assert np.linalg.eigvalsh(hermitian).min() >= -1e-12
+
+    @pytest.mark.parametrize("d", [2, 3, 8])
     def test_ginibre_map_is_batch_invariant(self, d):
         g = ginibre(np.random.default_rng(d), (4096, 2, d, d))
         effects = povm_effects_from_ginibre(g)
