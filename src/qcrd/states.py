@@ -300,9 +300,10 @@ def _inverse_cholesky_adjoint(m: np.ndarray) -> np.ndarray:
     """R^{-dag} of stacked Hermitian positive definite m = R^dag R, with R
     upper triangular and of positive diagonal (its Cholesky factor).
 
-    Row j of R is row j of the trailing block scaled by 1/sqrt of its pivot;
-    eliminating conj(R_ji) times it from each later row i of [m | I] leaves
-    R on the left and R^{-dag} on the right.  Every step is elementwise, so
+    Row j of R is row j of [m | I], after the eliminations of the earlier
+    rows, scaled by 1/sqrt of its diagonal entry; eliminating conj(R_ji)
+    times it from each later row i leaves R on the left and R^{-dag} on the
+    right.  Every step is elementwise, so
     a slice's result does not depend on the stack it is in, and no step
     depends on d beyond the loop's length.
     """

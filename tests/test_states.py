@@ -378,7 +378,7 @@ class TestStackedMatmul:
         # oracle: R^{-dag} A_x R^{-1} with R^dag = L from LAPACK's M = L L^dag.
         # Both sides lose accuracy as eps cond(M) on an ill-conditioned M,
         # which a k = 1 square draws now and then, so the 1e-12 bounds widen
-        # to a few times that on such draws
+        # to 8 eps cond(M) where that is larger
         g = ginibre(np.random.default_rng(10 * d + k), (64, k, d, d))
         a = g.conj().swapaxes(-1, -2) @ g
         m = a.sum(axis=1)
