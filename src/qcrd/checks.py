@@ -6,8 +6,6 @@ measured slack, so regressions show up as numbers rather than booleans.
 
 from __future__ import annotations
 
-from dataclasses import replace
-
 import numpy as np
 
 from .distortion import classical_cost_observable, distortion, example_observable
@@ -159,7 +157,7 @@ def check_oracle(n_observables: int = 2, n_grid: int = 3, seed: int = 0,
                  opts: SolverOptions | None = None) -> dict:
     """Lagrangian descent against Blahut-Arimoto on diagonal observables."""
     rng = np.random.default_rng(seed)
-    opts = opts or SolverOptions(restarts=6, max_iterations=1500, convergence_tol=1e-7)
+    opts = opts or SolverOptions(max_iterations=1500, convergence_tol=1e-7)
     checks = []
     worst = 0.0
     for i in range(n_observables):
@@ -173,8 +171,7 @@ def check_oracle(n_observables: int = 2, n_grid: int = 3, seed: int = 0,
         d_floor = float((p * costs.min(axis=1)).sum())
         d_zero = float((p @ costs).min())
         targets = d_floor + (np.arange(1, n_grid + 1) / (n_grid + 1)) * (d_zero - d_floor)
-        solved = minimize_rate_curve(purify(rho), delta, targets, 2,
-                                     replace(opts, rng_seed=int(rng.integers(2**31))))
+        solved = minimize_rate_curve(purify(rho), delta, targets, 2, opts)
         for target, point in zip(targets, solved):
             oracle = blahut_arimoto(p, costs, float(target))
             gap = abs(point.rate - oracle) if point is not None and oracle is not None else np.inf
@@ -188,7 +185,7 @@ def check_qsi(instances: int = 5, cmi_instances: int = 50, seed: int = 0,
     """Trivial side information reduces to the plain solver; CMI matches the
     full-density-matrix computation."""
     rng = np.random.default_rng(seed)
-    opts = opts or SolverOptions(restarts=4, max_iterations=800, convergence_tol=1e-6)
+    opts = opts or SolverOptions(max_iterations=800, convergence_tol=1e-6)
     checks = []
 
     worst_red = 0.0
@@ -198,10 +195,9 @@ def check_qsi(instances: int = 5, cmi_instances: int = 50, seed: int = 0,
         eig = eig_hermitian(rho.mat)
         delta = classical_cost_observable(costs, eig.eigenvectors)
         target = float(rng.uniform(0.15, 0.6)) * delta.d_max
-        run_opts = replace(opts, rng_seed=int(rng.integers(2**31)))
-        plain = minimize_rate(purify(rho), delta, target, 2, run_opts)
+        plain = minimize_rate(purify(rho), delta, target, 2, opts)
         psi3 = purify_joint(rho, (2, 1))
-        qsi = minimize_rate(psi3, delta, target, 2, run_opts)
+        qsi = minimize_rate(psi3, delta, target, 2, opts)
         if (plain is None) != (qsi is None):
             worst_red = np.inf
         elif plain is not None:

@@ -13,13 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .operators import (
-    PSD_ATOL,
-    DimensionMismatch,
-    NotPositiveSemidefinite,
-    as_hermitian,
-    eig_hermitian,
-)
+from .operators import DimensionMismatch, eig_hermitian, psd_stack
 from .states import (
     DensityOperator,
     Povm,
@@ -32,27 +26,17 @@ from .states import (
 
 @dataclass(frozen=True)
 class DistortionObservable:
-    """PSD blocks Delta_x indexed by outcome label, with the largest block
-    eigenvalue cached as ``d_max``."""
+    """PSD blocks Delta_x indexed by outcome label, checked as one stack by
+    :func:`~qcrd.operators.psd_stack`, with the largest block eigenvalue (or 0)
+    cached as ``d_max``."""
 
     blocks: tuple[np.ndarray, ...]
     d_max: float = field(init=False)
 
     def __post_init__(self):
-        if not self.blocks:
-            raise ValueError("a distortion observable needs at least one block")
-        mats = [as_hermitian(b, f"block {i}") for i, b in enumerate(self.blocks)]
-        dim = mats[0].shape[0]
-        top = 0.0
-        for i, b in enumerate(mats):
-            if b.shape[0] != dim:
-                raise DimensionMismatch(f"block {i} has dimension {b.shape[0]}, expected {dim}")
-            w = np.linalg.eigvalsh(b)
-            if float(w.min()) < -PSD_ATOL:
-                raise NotPositiveSemidefinite(f"block {i} eigenvalue {w.min():.3e} < -{PSD_ATOL:.0e}")
-            top = max(top, float(w.max()))
+        mats, w = psd_stack(self.blocks, "block")
         object.__setattr__(self, "blocks", tuple(_freeze(b) for b in mats))
-        object.__setattr__(self, "d_max", top)
+        object.__setattr__(self, "d_max", max(0.0, float(w.max())))
 
     @property
     def outcome_count(self) -> int:

@@ -34,8 +34,9 @@ def entropy_terms(w) -> np.ndarray:
     return -np.where(keep, w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
 
 
-def shannon_entropy(p) -> float:
-    """Shannon entropy of a probability distribution, in bits."""
+def checked_distribution(p) -> np.ndarray:
+    """``p`` flattened to floats, raising :class:`InvalidDistribution` unless it
+    is nonempty and finite, no entry is below -1e-12 and it sums to 1 within 1e-9."""
     a = np.asarray(p, dtype=float).reshape(-1)
     if a.size == 0:
         raise InvalidDistribution("empty distribution")
@@ -45,7 +46,12 @@ def shannon_entropy(p) -> float:
         raise InvalidDistribution(f"negative probability {a.min()!r}")
     if abs(float(a.sum()) - 1.0) > 1e-9:
         raise InvalidDistribution(f"probabilities sum to {a.sum()!r}, expected 1")
-    return float(entropy_terms(np.clip(a, 0.0, None)))
+    return a
+
+
+def shannon_entropy(p) -> float:
+    """Shannon entropy of a probability distribution, in bits."""
+    return float(entropy_terms(np.clip(checked_distribution(p), 0.0, None)))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:

@@ -56,6 +56,27 @@ def as_hermitian(m, name: str = "operator", atol: float = HERMITICITY_ATOL) -> n
     return a
 
 
+def psd_stack(mats, name: str) -> tuple[np.ndarray, np.ndarray]:
+    """Stack of nonempty ``mats``, each Hermitian (:func:`as_hermitian`), all of
+    one dimension and PSD, with their ascending eigenvalues from one stacked
+    ``eigvalsh``.  Errors name the offending matrix as ``{name} {index}``.
+    """
+    if len(mats) == 0:
+        raise ValueError(f"at least one {name} is required")
+    checked = [as_hermitian(m, f"{name} {i}") for i, m in enumerate(mats)]
+    dim = checked[0].shape[0]
+    for i, m in enumerate(checked):
+        if m.shape[0] != dim:
+            raise DimensionMismatch(f"{name} {i} has dimension {m.shape[0]}, expected {dim}")
+    stack = np.stack(checked)
+    w = np.linalg.eigvalsh(stack)
+    bad = np.flatnonzero(w[:, 0] < -PSD_ATOL)
+    if bad.size:
+        i = int(bad[0])
+        raise NotPositiveSemidefinite(f"{name} {i} eigenvalue {w[i, 0]:.3e} < -{PSD_ATOL:.0e}")
+    return stack, w
+
+
 def tensor(a, b) -> np.ndarray:
     """Kronecker product with ``a`` as the slower (first) factor."""
     x = as_square_matrix(a, "a")

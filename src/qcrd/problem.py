@@ -16,9 +16,8 @@ also accepted), matrices are row-major nested lists.
                     | {"kind": "blocks", "blocks": [[[...]], ...]},
       "outcomes": 2,                                             # optional
       "purification": [ ... amplitudes ... ],                    # optional
-      "solver": {"restarts": 8, "max_iterations": 2000,
-                 "lagrange_grid": [...], "convergence_tol": 1e-7,
-                 "rng_seed": 0}                                  # optional
+      "solver": {"max_iterations": 2000, "lagrange_grid": [...],
+                 "convergence_tol": 1e-7}                        # optional
     }
 
 :func:`parse_problem` validates a spec and builds it once: the purification,
@@ -132,10 +131,10 @@ class ProblemSpec:
         return self.build()
 
 
-def paper_problem(solver: SolverOptions | None = None) -> ProblemSpec:
-    """The worked qubit example: |+>/|0> source with its natural observable."""
-    source = example_source()
-    return ProblemSpec(source, purify(source), example_observable(), solver or SolverOptions(), PAPER_PRESET)
+def paper_problem() -> ProblemSpec:
+    """The worked qubit example, the |+>/|0> source with its natural observable:
+    :func:`parse_problem` of the preset document, so the preset has one builder."""
+    return parse_problem({"schema": SCHEMA_VERSION, "source": PAPER_PRESET, "observable": PAPER_PRESET})
 
 
 def _built(what: str, make, *args):

@@ -47,9 +47,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .distortion import DistortionObservable, expected_cost, reported_distortion
-from .information import InvalidDistribution, cq_information, entropy_gap, entropy_terms
+from .information import checked_distribution, cq_information, entropy_gap, entropy_terms
 from .operators import DimensionMismatch, eig_hermitian
-from .states import Povm, Purification, _ginibre_draws, conditional_blocks, povm_effects_from_ginibre
+from .states import Povm, Purification, _ginibre_draws, conditional_blocks, povm_effects_from_ginibre, whiten_effects
 
 #: Largest Lagrange multiplier tried before declaring a target infeasible.
 MU_CAP = 1e7
@@ -454,22 +454,19 @@ class _LagrangianSolver:
         # the best trivial POVM is the exact mu = 0 solution of every Lagrangian
         self.zero_rate = _MuSolution(0.0, 0.0, *obj.zero_rate_point())
 
-    def _effects(self, exponent: np.ndarray) -> np.ndarray:
-        """POVM of blocks exp(exponent): conj(W S^-1 s_x S^-1 W^dag + (1 - W W^dag)/k),
-        renormalized by T^-1/2 (.) T^-1/2 with T their sum."""
-        w, u = np.linalg.eigh(exponent)
+    def _effects(self, blocks: np.ndarray) -> np.ndarray:
+        """POVM of blocks s_x: conj(W S^-1 s_x S^-1 W^dag + (1 - W W^dag)/k), whose sum is the
+        identity up to the Y-solve's residual, completed by :func:`whiten_effects`, the Cholesky
+        whitening that also maps the sweep's Ginibre samples."""
         inv = 1.0 / self.s
-        core = inv[:, None] * _spectral(u, np.exp(w)) * inv[None, :]
+        core = inv[:, None] * blocks * inv[None, :]
         free = (np.eye(self.d) - self.w @ self.w.conj().T) / self.k
-        lam = (self.w @ core @ self.w.conj().T + free).conj()
-        tw, tv = np.linalg.eigh(lam.sum(axis=0))
-        root = _spectral(tv, 1.0 / np.sqrt(tw))
-        return root @ lam @ root
+        return whiten_effects((self.w @ core @ self.w.conj().T + free).conj())
 
     def _mirror_descent(self, mu: float) -> np.ndarray:
         """Mirror descent from the maximally mixed POVM, s_x = S^2 / k, until
         L improves by less than the convergence tolerance or for
-        ``max_iterations`` steps; returns the exponents log s_x.  Only the
+        ``max_iterations`` steps; returns the last kept blocks s_x.  Only the
         first Y-solve starts cold; each later one starts from the last Y.
 
         The base step eta caps the exponent spread that mu ln2 Delta adds per step
@@ -496,7 +493,7 @@ class _LagrangianSolver:
             gain = f - f_cand
             kept = t == eta or gain >= 3.0 * tol
             if kept:
-                exponent, f, side = cand, f_cand, (tw, tu)
+                exponent, f, side, best = cand, f_cand, (tw, tu), blocks
             if (gain < tol if kept else abs(gain) < tol) or n == self.opts.max_iterations:
                 break
             step = long if 3.0 * tol <= gain < math.inf else eta  # the first step is a base step
@@ -506,7 +503,7 @@ class _LagrangianSolver:
             k_mats = exponent + step * (k_mats - exponent)
             y = _solve_dual(k_mats, s2, None if y is None else y * (step / t))
             t, cand = step, k_mats + y
-        return exponent
+        return best
 
     def solve_at(self, mu: float) -> _MuSolution:
         effects = self._effects(self._mirror_descent(mu))
@@ -626,11 +623,7 @@ def blahut_arimoto(p, costs, target_d: float, tol: float = 1e-9) -> float | None
     when the target lies more than 1e-9 below the minimal achievable distortion;
     a NaN target, a ``tol`` not finite and >= 0 or a non-finite cost raises ``ValueError``.
     """
-    pa = np.asarray(p, dtype=float).reshape(-1)
-    if pa.size == 0 or not np.isfinite(pa).all() or float(pa.min()) < -1e-12:
-        raise InvalidDistribution("source probabilities must be a distribution")
-    if abs(float(pa.sum()) - 1.0) > 1e-9:
-        raise InvalidDistribution(f"source probabilities sum to {pa.sum()!r}")
+    pa = checked_distribution(p)
     c = np.asarray(costs, dtype=float)
     if c.ndim != 2 or c.shape[0] != pa.size or c.shape[1] == 0:
         raise DimensionMismatch(f"cost matrix shape {c.shape} needs {pa.size} rows and at least one column")

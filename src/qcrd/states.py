@@ -14,6 +14,7 @@ from .operators import (
     NotPositiveSemidefinite,
     as_hermitian,
     eig_hermitian,
+    psd_stack,
 )
 
 #: Tolerance on unit trace / unit norm at construction.
@@ -57,25 +58,15 @@ class DensityOperator:
 class Povm:
     """Finite measurement: PSD effects summing to the identity.
 
-    Outcome labels are the indices ``0..len(effects)-1``.
+    Outcome labels are the indices ``0..len(effects)-1``.  One stacked check,
+    :func:`~qcrd.operators.psd_stack`, names an offending effect's index.
     """
 
     effects: tuple[np.ndarray, ...]
 
     def __post_init__(self):
-        if not self.effects:
-            raise ValueError("a POVM needs at least one effect")
-        mats = [as_hermitian(e, f"effect {i}") for i, e in enumerate(self.effects)]
-        dim = mats[0].shape[0]
-        total = np.zeros((dim, dim), dtype=complex)
-        for i, e in enumerate(mats):
-            if e.shape[0] != dim:
-                raise DimensionMismatch(f"effect {i} has dimension {e.shape[0]}, expected {dim}")
-            low = float(np.linalg.eigvalsh(e).min())
-            if low < -PSD_ATOL:
-                raise NotPositiveSemidefinite(f"effect {i} eigenvalue {low:.3e} < -{PSD_ATOL:.0e}")
-            total += e
-        dev = float(np.abs(total - np.eye(dim)).max())
+        mats, _ = psd_stack(self.effects, "effect")
+        dev = float(np.abs(mats.sum(axis=0) - np.eye(mats.shape[-1])).max())
         if dev > COMPLETENESS_ATOL:
             raise ValueError(f"effects do not sum to the identity: max deviation {dev:.3e}")
         object.__setattr__(self, "effects", tuple(_freeze(e) for e in mats))
@@ -315,23 +306,30 @@ def _inverse_cholesky_adjoint(m: np.ndarray) -> np.ndarray:
     return aug[..., d:]
 
 
+def whiten_effects(a: np.ndarray) -> np.ndarray:
+    """POVM effects R^{-dag} a_x R^{-1} of stacked PSD a (..., k, d, d) whose sum
+    M = R^dag R is positive definite, R its Cholesky factor (upper triangular,
+    positive diagonal), so completeness holds by construction.  No LAPACK call,
+    and batch-invariant: a slice's effects are the same bits in any stack.  A
+    sum that is not positive definite warns (``RuntimeWarning``), not raises.
+    """
+    w = _inverse_cholesky_adjoint(a.sum(axis=-3))[..., None, :, :]
+    return _stacked_matmul(_stacked_matmul(w, a), w.conj().swapaxes(-1, -2))
+
+
 def povm_effects_from_ginibre(g: np.ndarray) -> np.ndarray:
     """Map stacked Ginibre matrices (..., k, d, d) to POVM effects.
 
-    effect_x = R^{-dag} A_x R^{-1}, where A_x = G_x^dag G_x and
-    M = sum_x A_x = R^dag R is the Cholesky factorization (R upper
-    triangular, positive diagonal), so completeness holds by construction.
-    The effects equal Q_x^dag Q_x for the QR factor Q = G R^{-1} of the
-    stacked (k d, d) Ginibre matrix, a Haar-distributed isometry like the
-    polar factor G M^{-1/2}.  So each sample has the same law as under the
-    symmetric map M^{-1/2} A_x M^{-1/2} of earlier versions, but a given
-    draw G, and so a given seed, names a different POVM under the two.
-    The map calls no LAPACK routine and is batch-invariant: each slice's
-    effects are the same bits whatever stack it is mapped in.
+    effect_x = R^{-dag} A_x R^{-1} with A_x = G_x^dag G_x, whitened by
+    :func:`whiten_effects`.  The effects equal Q_x^dag Q_x for the QR factor
+    Q = G R^{-1} of the stacked (k d, d) Ginibre matrix, a Haar-distributed
+    isometry like the polar factor G M^{-1/2}.  So each sample has the same
+    law as under the symmetric map M^{-1/2} A_x M^{-1/2} of earlier versions,
+    but a given draw G, and so a given seed, names a different POVM under the
+    two.  Only sampled POVMs come through here: the solver's witnesses call
+    :func:`whiten_effects` directly.
     """
-    a = _stacked_matmul(g.conj().swapaxes(-1, -2), g)
-    w = _inverse_cholesky_adjoint(a.sum(axis=-3))[..., None, :, :]
-    return _stacked_matmul(_stacked_matmul(w, a), w.conj().swapaxes(-1, -2))
+    return whiten_effects(_stacked_matmul(g.conj().swapaxes(-1, -2), g))
 
 
 def _check_povm_size(dim: int, outcomes: int) -> None:

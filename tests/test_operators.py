@@ -3,7 +3,9 @@ import pytest
 
 from qcrd import (
     DimensionMismatch,
+    DistortionObservable,
     NotPositiveSemidefinite,
+    Povm,
     eig_hermitian,
     partial_trace,
     sqrt_psd,
@@ -213,3 +215,20 @@ class TestTraceDistance:
     def test_dimension_mismatch(self):
         with pytest.raises(DimensionMismatch):
             trace_distance(np.eye(2), np.eye(3))
+
+
+class TestPsdStack:
+    @pytest.mark.parametrize("cls, name", [(Povm, "effect"), (DistortionObservable, "block")])
+    def test_stack_checks_name_the_index(self, cls, name):
+        # every case but the one broken matrix at index 1 is valid, and each stack sums to the identity
+        with pytest.raises(ValueError):
+            cls(())
+        cases = [
+            (ValueError, (np.eye(2) / 2, np.array([[0.5, 0.1], [0.0, 0.5]]))),
+            (DimensionMismatch, (np.eye(2) / 2, np.eye(3) / 2)),
+            (NotPositiveSemidefinite, (np.diag([1.5, 0.5]), np.diag([-0.5, 0.5]))),
+        ]
+        for error, mats in cases:
+            with pytest.raises(error) as info:
+                cls(mats)
+            assert f"{name} 1 " in str(info.value)

@@ -54,6 +54,10 @@ class TestParsing:
         a = paper_problem()
         b = parse_problem(minimal_spec())
         assert trace_distance(a.source.mat, b.source.mat) < 1e-12
+        assert a.purification.vector.tobytes() == b.purification.vector.tobytes()
+        assert len(a.observable.blocks) == len(b.observable.blocks)
+        assert all(x.tobytes() == y.tobytes() for x, y in zip(a.observable.blocks, b.observable.blocks))
+        assert a.preset == b.preset == "paper-example"
 
     def test_matrix_source_with_complex_pairs(self):
         mat = [[[0.5, 0.0], [0.0, -0.25]], [[0.0, 0.25], [0.5, 0.0]]]

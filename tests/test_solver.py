@@ -25,6 +25,7 @@ from qcrd import (
     example_observable,
     example_source,
     induced_cq_state,
+    load_problem,
     lower_envelope,
     minimize_rate,
     minimize_rate_curve,
@@ -346,6 +347,29 @@ class TestMinimizeRate:
         assert np.all(np.diff(rates) <= 1e-6)
         mids = rates[1:-1] - (rates[:-2] + rates[2:]) / 2
         assert mids.max() <= 1e-4
+
+    @pytest.mark.parametrize("case", ["paper-example", "side-info", "d4-k4"])
+    def test_witnesses_sum_to_identity(self, case):
+        # the Cholesky whitening completes every descent witness, not only the sweep's samples
+        if case == "paper-example":
+            psi, obs, k = purify(example_source()), example_observable(), 2
+            targets, opts = 0.02 * np.arange(1, 13), None
+        elif case == "side-info":
+            problem = load_problem(os.path.join(os.path.dirname(__file__), "..", "examples", "side-info.json"))
+            (psi, obs, k), opts = problem.build(), problem.solver
+            targets = np.array([0.02, 0.05, 0.1, 0.15, 0.2, 0.25])  # the zero-rate distortion is 0.3
+        else:
+            rng = np.random.default_rng(5)
+            rho = random_density(rng, 4)
+            blocks = [g @ g.conj().T for g in ginibre(rng, (4, 4, 4))]
+            psi, obs, k = purify(rho), DistortionObservable(tuple(b / np.linalg.norm(b, 2) for b in blocks)), 4
+            d_zero = min(distortion(psi, Povm(tuple(np.eye(4) * (x == y) for y in range(k))), obs)
+                         for x in range(k))
+            targets, opts = d_zero * np.array([0.6, 0.8, 0.95]), None
+        points = minimize_rate_curve(psi, obs, targets, k, opts)
+        assert all(p is not None and p.rate > 0.0 for p in points)
+        for point in points:
+            assert np.abs(sum(point.povm.effects) - np.eye(psi.system_dims[0])).max() <= 1e-12
 
 
 class TestOneValuationKernel:
