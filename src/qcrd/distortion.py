@@ -28,14 +28,15 @@ from .states import (
 class DistortionObservable:
     """PSD blocks Delta_x indexed by outcome label, checked as one stack by
     :func:`~qcrd.operators.psd_stack`, with the largest block eigenvalue (or 0)
-    cached as ``d_max``."""
+    cached as ``d_max``.  ``blocks`` is one read-only (k, d, d) stack, copied
+    from any sequence of matrices, that the kernels take as it is."""
 
-    blocks: tuple[np.ndarray, ...]
+    blocks: np.ndarray
     d_max: float = field(init=False)
 
     def __post_init__(self):
         mats, w = psd_stack(self.blocks, "block")
-        object.__setattr__(self, "blocks", tuple(_freeze(b) for b in mats))
+        object.__setattr__(self, "blocks", _freeze(mats))
         object.__setattr__(self, "d_max", max(0.0, float(w.max())))
 
     @property
@@ -44,7 +45,7 @@ class DistortionObservable:
 
     @property
     def dim(self) -> int:
-        return self.blocks[0].shape[0]
+        return self.blocks.shape[-1]
 
 
 def expected_cost(blocks: np.ndarray, sig: np.ndarray) -> np.ndarray:
@@ -84,8 +85,8 @@ def distortion(psi: Purification, povm: Povm, delta: DistortionObservable) -> fl
         raise DimensionMismatch(
             f"POVM has {povm.outcomes} outcomes but the observable has {delta.outcome_count} blocks"
         )
-    sig = conditional_blocks(psi.measured_matrix(), np.stack(povm.effects))
-    return reported_distortion(np.stack(delta.blocks), sig)
+    sig = conditional_blocks(psi.measured_matrix(), povm.effects)
+    return reported_distortion(delta.blocks, sig)
 
 
 def distortion_qsi(psi: Purification, povm: Povm, delta: DistortionObservable) -> float:
@@ -103,8 +104,7 @@ def eigenbasis_observable(rho: DensityOperator) -> DistortionObservable:
     """
     eig = eig_hermitian(rho.mat)
     eye = np.eye(rho.dim, dtype=complex)
-    blocks = tuple(eye - np.outer(eig.eigenvectors[:, x], eig.eigenvectors[:, x].conj()) for x in range(rho.dim))
-    return DistortionObservable(blocks)
+    return DistortionObservable(eye - np.einsum("ix,jx->xij", eig.eigenvectors, eig.eigenvectors.conj()))
 
 
 def classical_cost_observable(costs, basis) -> DistortionObservable:
@@ -121,8 +121,7 @@ def classical_cost_observable(costs, basis) -> DistortionObservable:
     if float(c.min()) < 0.0:
         raise ValueError(f"negative cost entry {c.min()!r}")
     v = _checked_basis(basis, c.shape[0])
-    blocks = tuple((v * c[:, x]) @ v.conj().T for x in range(c.shape[1]))
-    return DistortionObservable(blocks)
+    return DistortionObservable((v * c.T[:, None, :]) @ v.conj().T)
 
 
 def example_observable() -> DistortionObservable:

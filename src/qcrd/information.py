@@ -106,7 +106,7 @@ def mutual_information_cq(sigma: CqState) -> float:
     as one quantum system, so for a two-factor state on R (x) B this is
     I(X;RB); I(X;R|B) is :func:`conditional_mutual_information_cq`.
     """
-    return float(cq_information(np.stack(sigma.conditional_ops), 1))
+    return float(cq_information(sigma.conditional_ops, 1))
 
 
 def conditional_mutual_information_cq(sigma: CqState) -> float:
@@ -117,4 +117,4 @@ def conditional_mutual_information_cq(sigma: CqState) -> float:
     """
     if len(sigma.factor_dims) != 2:
         raise ValueError("conditional mutual information needs (reference, side) factor dims")
-    return float(cq_information(np.stack(sigma.conditional_ops), sigma.factor_dims[1]))
+    return float(cq_information(sigma.conditional_ops, sigma.factor_dims[1]))

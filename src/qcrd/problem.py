@@ -37,7 +37,7 @@ solver is deterministic and ignores them.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from numbers import Real
 
 import numpy as np
@@ -150,8 +150,7 @@ def _parse_solver(data) -> SolverOptions:
         return SolverOptions()
     if not isinstance(data, dict):
         raise ProblemSpecError("solver must be an object")
-    known = {"restarts", "max_iterations", "lagrange_grid", "convergence_tol", "rng_seed"}
-    unknown = set(data) - known
+    unknown = set(data) - {f.name for f in fields(SolverOptions)}
     if unknown:
         raise ProblemSpecError(f"unknown solver options {sorted(unknown)}")
     # JSON may spell a count as an integral float, 2000.0

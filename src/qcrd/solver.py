@@ -49,7 +49,8 @@ import numpy as np
 from .distortion import DistortionObservable, expected_cost, reported_distortion
 from .information import checked_distribution, cq_information, entropy_gap, entropy_terms
 from .operators import DimensionMismatch, eig_hermitian
-from .states import Povm, Purification, _ginibre_draws, conditional_blocks, povm_effects_from_ginibre, whiten_effects
+from .states import (Povm, Purification, _freeze, _ginibre_draws, conditional_blocks, povm_effects_from_ginibre,
+                     whiten_effects)
 
 #: Largest Lagrange multiplier tried before declaring a target infeasible.
 MU_CAP = 1e7
@@ -107,16 +108,15 @@ class RdCurve:
     witnesses: np.ndarray = ()
 
     def __post_init__(self):
-        g = np.array(self.grid, dtype=float)
-        r = np.array(self.rates, dtype=float)
-        w = np.array(self.witnesses, dtype=np.intp)
+        g = np.asarray(self.grid, dtype=float)
+        r = np.asarray(self.rates, dtype=float)
+        w = np.asarray(self.witnesses, dtype=np.intp)
         if g.ndim != 1 or g.shape != r.shape:
             raise ValueError("grid and rates must be 1-D arrays of equal length")
         if w.size and w.shape != g.shape:
             raise ValueError("one witness entry per grid point is required")
         for name, a in (("grid", g), ("rates", r), ("witnesses", w)):
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
+            object.__setattr__(self, name, _freeze(a))
 
 
 @dataclass(frozen=True)
@@ -187,7 +187,7 @@ class _Objective:
         self.system_dim = psi.system_dims[0]
         self.side_dim = psi.side_dim
         self.m = psi.measured_matrix()
-        self.blocks = np.stack(delta.blocks)
+        self.blocks = delta.blocks
         self.h_const = float(entropy_gap((self.m @ self.m.conj().T)[None], self.side_dim))
 
     def evaluate(self, effects: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -197,8 +197,8 @@ class _Objective:
 
     def witness(self, effects: np.ndarray) -> RdPoint:
         """Reported point of the given effects, evaluated like the public functions."""
-        povm = Povm(tuple(effects))
-        sig = conditional_blocks(self.m, np.stack(povm.effects))
+        povm = Povm(effects)
+        sig = conditional_blocks(self.m, povm.effects)
         return RdPoint(reported_distortion(self.blocks, sig), float(cq_information(sig, self.side_dim)), povm)
 
     def zero_rate_point(self) -> tuple[float, np.ndarray]:
@@ -679,5 +679,5 @@ def classical_strategy_rate(rho, delta: DistortionObservable, target_d: float) -
     pa = np.clip(eig.eigenvalues, 0.0, None)
     pa /= pa.sum()
     v = eig.eigenvectors
-    costs = np.einsum("iz,xij,jz->zx", v.conj(), np.stack(delta.blocks), v).real
+    costs = np.einsum("iz,xij,jz->zx", v.conj(), delta.blocks, v).real
     return blahut_arimoto(pa, np.clip(costs, 0.0, None), target_d)

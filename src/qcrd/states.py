@@ -9,9 +9,7 @@ import numpy as np
 
 from .operators import (
     MAX_DIM,
-    PSD_ATOL,
     DimensionMismatch,
-    NotPositiveSemidefinite,
     as_hermitian,
     eig_hermitian,
     psd_stack,
@@ -27,26 +25,26 @@ COMPLETENESS_ATOL = 1e-9
 BASIS_ATOL = 1e-9
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
-    a = np.ascontiguousarray(a)
+def _freeze(a) -> np.ndarray:
+    """Read-only, C-contiguous copy of ``a``: every value type stores its arrays
+    through it, so none shares an array with its caller."""
+    a = np.array(a, order="C")
     a.setflags(write=False)
     return a
 
 
 @dataclass(frozen=True)
 class DensityOperator:
-    """Unit-trace PSD operator."""
+    """Unit-trace PSD operator, checked by :func:`~qcrd.operators.psd_stack` as a
+    one-matrix stack; ``mat`` is a read-only copy."""
 
     mat: np.ndarray
 
     def __post_init__(self):
-        a = as_hermitian(self.mat, "density operator")
+        (a,), _ = psd_stack((self.mat,), "density operator")
         tr = float(a.trace().real)
         if abs(tr - 1.0) > TRACE_ATOL:
             raise ValueError(f"density operator trace {tr!r} differs from 1")
-        low = float(np.linalg.eigvalsh(a).min())
-        if low < -PSD_ATOL:
-            raise NotPositiveSemidefinite(f"density operator eigenvalue {low:.3e} < -{PSD_ATOL:.0e}")
         object.__setattr__(self, "mat", _freeze(a))
 
     @property
@@ -58,22 +56,24 @@ class DensityOperator:
 class Povm:
     """Finite measurement: PSD effects summing to the identity.
 
-    Outcome labels are the indices ``0..len(effects)-1``.  One stacked check,
+    Outcome labels are the indices ``0..len(effects)-1``.  ``effects`` is one
+    read-only (k, d, d) stack, copied from any sequence of matrices, that the
+    kernels take as it is.  One stacked check,
     :func:`~qcrd.operators.psd_stack`, names an offending effect's index.
     """
 
-    effects: tuple[np.ndarray, ...]
+    effects: np.ndarray
 
     def __post_init__(self):
         mats, _ = psd_stack(self.effects, "effect")
         dev = float(np.abs(mats.sum(axis=0) - np.eye(mats.shape[-1])).max())
         if dev > COMPLETENESS_ATOL:
             raise ValueError(f"effects do not sum to the identity: max deviation {dev:.3e}")
-        object.__setattr__(self, "effects", tuple(_freeze(e) for e in mats))
+        object.__setattr__(self, "effects", _freeze(mats))
 
     @property
     def dim(self) -> int:
-        return self.effects[0].shape[0]
+        return self.effects.shape[-1]
 
     @property
     def outcomes(self) -> int:
@@ -181,10 +181,10 @@ def purify_joint(rho_ab: DensityOperator, system_dims: tuple[int, int]) -> Purif
 
 
 def apply_measurement_map(povm: Povm, state: DensityOperator) -> np.ndarray:
-    """Outcome probabilities p(x) = Tr(effect_x rho)."""
+    """Outcome probabilities p(x) = Tr(effect_x rho), one contraction over the effect stack."""
     if povm.dim != state.dim:
         raise DimensionMismatch(f"POVM dimension {povm.dim} != state dimension {state.dim}")
-    return np.array([float(np.einsum("ij,ji->", e, state.mat).real) for e in povm.effects])
+    return np.einsum("xij,ji->x", povm.effects, state.mat).real
 
 
 @dataclass(frozen=True)
@@ -193,12 +193,13 @@ class CqState:
 
     ``conditional_ops[x]`` is unnormalized with trace ``probs[x]``;
     ``factor_dims`` records the tensor factors of the quantum side,
-    e.g. ``(dR,)`` or ``(dR, dB)``.  Producers guarantee positivity of the
-    blocks; it is not re-verified here.
+    e.g. ``(dR,)`` or ``(dR, dB)``; ``conditional_ops`` is one read-only
+    (k, d, d) stack, copied from any sequence of matrices.  Producers
+    guarantee positivity of the blocks; it is not re-verified here.
     """
 
     probs: np.ndarray
-    conditional_ops: tuple[np.ndarray, ...]
+    conditional_ops: np.ndarray
     factor_dims: tuple[int, ...]
 
     def __post_init__(self):
@@ -209,14 +210,12 @@ class CqState:
             raise ValueError(f"outcome probabilities sum to {p.sum()!r}, expected 1")
         dims = tuple(int(d) for d in self.factor_dims)
         d = prod(dims)
-        ops = []
-        for i, op in enumerate(self.conditional_ops):
-            a = np.asarray(op, dtype=complex)
+        ops = [np.asarray(op, dtype=complex) for op in self.conditional_ops]
+        for i, a in enumerate(ops):
             if a.shape != (d, d):
                 raise DimensionMismatch(f"conditional operator {i} has shape {a.shape}, expected ({d}, {d})")
-            ops.append(_freeze(a))
         object.__setattr__(self, "probs", _freeze(p))
-        object.__setattr__(self, "conditional_ops", tuple(ops))
+        object.__setattr__(self, "conditional_ops", _freeze(ops))
         object.__setattr__(self, "factor_dims", dims)
 
     @property
@@ -229,7 +228,7 @@ class CqState:
 
     def marginal_quantum(self) -> np.ndarray:
         """Reduced state on the quantum factor(s): sum_x sigma_x."""
-        return np.sum(self.conditional_ops, axis=0)
+        return self.conditional_ops.sum(axis=0)
 
 
 def _stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -259,8 +258,8 @@ def induced_cq_state(psi: Purification, povm: Povm) -> CqState:
     """
     if povm.dim != psi.system_dims[0]:
         raise DimensionMismatch(f"POVM dimension {povm.dim} != system dimension {psi.system_dims[0]}")
-    ops = conditional_blocks(psi.measured_matrix(), np.stack(povm.effects))
-    return CqState(np.einsum("xrr->x", ops).real, tuple(ops), (psi.reference_dim,) + psi.system_dims[1:])
+    ops = conditional_blocks(psi.measured_matrix(), povm.effects)
+    return CqState(np.einsum("xrr->x", ops).real, ops, (psi.reference_dim,) + psi.system_dims[1:])
 
 
 def _checked_basis(basis, dim: int) -> np.ndarray:
@@ -282,9 +281,11 @@ def dephase(m, basis) -> np.ndarray:
 
 
 def pinch_povm(povm: Povm, basis) -> Povm:
-    """Replace every effect by its diagonal part in the given basis."""
+    """Replace every effect by its diagonal part in the given basis: one
+    contraction over the effect stack, as :func:`dephase` does for one matrix."""
     v = _checked_basis(basis, povm.dim)
-    return Povm(tuple(dephase(e, v) for e in povm.effects))
+    diag = np.einsum("iz,xij,jz->xz", v.conj(), povm.effects, v).real
+    return Povm((v * diag[:, None, :]) @ v.conj().T)
 
 
 def _inverse_cholesky_adjoint(m: np.ndarray) -> np.ndarray:
@@ -389,7 +390,7 @@ def sweep_povm(dim: int, outcomes: int, seed: int, index: int) -> Povm:
     if index < 0:
         raise ValueError("sample index must be nonnegative")
     g = _ginibre_draws(seed, index, index + 1, (outcomes, dim, dim))
-    return Povm(tuple(povm_effects_from_ginibre(g)[0]))
+    return Povm(povm_effects_from_ginibre(g)[0])
 
 
 def sample_random_povm(dim: int, outcomes: int, rng_seed) -> Povm:
@@ -404,7 +405,7 @@ def sample_random_povm(dim: int, outcomes: int, rng_seed) -> Povm:
     _check_povm_size(dim, outcomes)
     rng = np.random.default_rng(rng_seed)
     g = rng.standard_normal((outcomes, dim, dim)) + 1j * rng.standard_normal((outcomes, dim, dim))
-    return Povm(tuple(povm_effects_from_ginibre(g)))
+    return Povm(povm_effects_from_ginibre(g))
 
 
 def example_source() -> DensityOperator:

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -5,9 +7,11 @@ from qcrd import (
     CqState,
     DensityOperator,
     DimensionMismatch,
+    DistortionObservable,
     NotPositiveSemidefinite,
     Povm,
     Purification,
+    RdCurve,
     apply_measurement_map,
     dephase,
     eig_hermitian,
@@ -79,6 +83,75 @@ class TestDomainTypes:
     def test_cq_state_validates_prob_sum(self):
         with pytest.raises(ValueError):
             CqState(np.array([0.7, 0.7]), (np.eye(2) * 0.35, np.eye(2) * 0.35), (2,))
+
+
+def _owned_case(kind):
+    """(object, the caller's writable arrays it was built from) of one value type."""
+    plus = np.full((2, 2), 0.5, dtype=complex)
+    zero = np.diag([1.0, 0.0]).astype(complex)
+    if kind == "DensityOperator":
+        m = (plus + zero) / 2
+        return DensityOperator(m), [m]
+    if kind == "Povm":
+        effects = [np.diag([1.0, 0.0]).astype(complex), np.diag([0.0, 0.5]).astype(complex),
+                   np.diag([0.0, 0.5]).astype(complex)]
+        return Povm(effects), effects
+    if kind == "Povm-stack":
+        stack = np.stack([plus, np.eye(2, dtype=complex) - plus])
+        return Povm(stack), [stack]
+    if kind == "DistortionObservable":
+        blocks = [np.eye(2, dtype=complex) - plus, np.eye(2, dtype=complex) - zero]
+        return DistortionObservable(blocks), blocks
+    if kind == "CqState":
+        probs = np.array([0.25, 0.75])
+        ops = [0.25 * zero, 0.75 * plus]
+        return CqState(probs, ops, (2,)), [probs, *ops]
+    if kind == "Purification":
+        vector = np.array([0.6, 0.0, 0.0, 0.8], dtype=complex)
+        coeffs = np.array([0.8, 0.6])
+        return Purification(vector, 2, (2,), schmidt_coeffs=coeffs), [vector, coeffs]
+    grid, rates, witnesses = np.array([0.0, 0.1]), np.array([1.0, 0.5]), np.array([3, 4], dtype=np.intp)
+    return RdCurve(grid, rates, witnesses), [grid, rates, witnesses]
+
+
+class TestOwnership:
+    """Value types copy what they are given: the caller's arrays stay writable,
+    every stored array is read-only, and later writes to the caller's arrays
+    do not reach the object."""
+
+    ARRAY_FIELDS = {"DensityOperator": {"mat"}, "Povm": {"effects"}, "DistortionObservable": {"blocks"},
+                    "CqState": {"probs", "conditional_ops"}, "Purification": {"vector", "schmidt_coeffs"},
+                    "RdCurve": {"grid", "rates", "witnesses"}}
+
+    @pytest.mark.parametrize("kind", ["DensityOperator", "Povm", "Povm-stack", "DistortionObservable",
+                                      "CqState", "Purification", "RdCurve"])
+    def test_value_types_own_their_arrays(self, kind):
+        obj, inputs = _owned_case(kind)
+        assert all(a.flags.writeable for a in inputs)
+        stored = {f.name: getattr(obj, f.name) for f in dataclasses.fields(obj)
+                  if isinstance(getattr(obj, f.name), np.ndarray)}
+        assert set(stored) == self.ARRAY_FIELDS[kind.removesuffix("-stack")]
+        for name, a in stored.items():
+            assert not a.flags.writeable, name
+            assert a.flags.c_contiguous, name
+        before = {name: a.copy() for name, a in stored.items()}
+        for a in inputs:
+            a[...] = 7
+        for name, a in stored.items():
+            assert np.array_equal(a, before[name]), name
+
+    def test_families_are_read_only_stacks(self):
+        effects = list(sample_random_povm(2, 3, 11).effects)
+        povm = Povm(tuple(effects))
+        obs = DistortionObservable([np.eye(2) * x for x in (0.0, 0.5, 1.0)])
+        sigma = induced_cq_state(purify(example_source()), povm)
+        for family in (povm.effects, obs.blocks, sigma.conditional_ops):
+            assert type(family) is np.ndarray
+            assert family.shape == (3, 2, 2)
+            assert family.dtype == complex
+            assert not family.flags.writeable
+        assert (povm.dim, povm.outcomes, obs.dim, obs.outcome_count, sigma.outcome_count) == (2, 3, 2, 3, 3)
+        assert Povm(tuple(effects)).effects.tobytes() == Povm(np.stack(effects)).effects.tobytes()
 
 
 class TestPurify:
@@ -317,6 +390,14 @@ class TestPinch:
             before = apply_measurement_map(povm, rho)
             after = apply_measurement_map(pinch_povm(povm, basis), rho)
             assert np.abs(before - after).max() < 1e-10
+
+    def test_pinch_is_dephase_of_each_effect(self):
+        rng = np.random.default_rng(67)
+        for dim in (2, 3, 4):
+            povm = sample_random_povm(dim, 3, rng.integers(2**63))
+            basis = eig_hermitian(random_density(rng, dim).mat).eigenvectors
+            for e, pinched in zip(povm.effects, pinch_povm(povm, basis).effects):
+                assert np.abs(pinched - dephase(e, basis)).max() < 1e-14
 
     def test_rejects_non_orthonormal_basis(self):
         povm = Povm((np.eye(2),))
