@@ -21,7 +21,7 @@ from .states import (
     DensityOperator,
     Povm,
     Purification,
-    dephase,
+    _dephase_stack,
     example_source,
     induced_cq_state,
     purify,
@@ -60,8 +60,7 @@ def check_lemmas(trials: int = 200, joint_povms: int = 25, seed: int = 0) -> dic
         psi = purify(rho)
         povm = sample_random_povm(dim, int(rng.integers(2, dim + 2)), rng.integers(2**63))
         sigma = induced_cq_state(psi, povm)
-        basis = eig_hermitian(rho.mat).eigenvectors
-        dephased = tuple(dephase(op, basis) for op in sigma.conditional_ops)
+        dephased = _dephase_stack(sigma.conditional_ops, eig_hermitian(rho.mat).eigenvectors)
         sigma_dep = CqState(sigma.probs, dephased, sigma.factor_dims)
         worst = max(worst, mutual_information_cq(sigma_dep) - mutual_information_cq(sigma))
     checks.append(_check("dephasing-monotonicity", worst <= 1e-9, worst, 1e-9))

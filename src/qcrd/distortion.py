@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .information import _ordered_sum
 from .operators import DimensionMismatch, eig_hermitian, psd_stack
 from .states import (
     DensityOperator,
@@ -24,7 +25,7 @@ from .states import (
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DistortionObservable:
     """PSD blocks Delta_x indexed by outcome label, checked as one stack by
     :func:`~qcrd.operators.psd_stack`, with the largest block eigenvalue (or 0)
@@ -52,15 +53,13 @@ def expected_cost(blocks: np.ndarray, sig: np.ndarray) -> np.ndarray:
     """Distortion sum_x Tr(Delta_x sigma_x) of stacked blocks (..., k, d, d).
 
     The terms Re(Delta_x[i, j] sigma_x[j, i]) are added one after another in
-    (x, i, j) order, so a POVM's distortion does not depend on the batch it
-    is evaluated in (``einsum`` reduces a batch of one in another order).
+    (x, i, j) order (:func:`~qcrd.information._ordered_sum`), so a POVM's
+    distortion does not depend on its stack's size or memory layout.
     """
     t = sig.swapaxes(-1, -2)
     terms = blocks.real * t.real
     terms -= blocks.imag * t.imag
-    terms = terms.reshape(*terms.shape[:-3], -1)
-    np.add.accumulate(terms, axis=-1, out=terms)
-    return terms[..., -1] + 0.0
+    return _ordered_sum(terms.reshape(*terms.shape[:-3], -1)) + 0.0
 
 
 def reported_distortion(blocks: np.ndarray, sig: np.ndarray) -> float:

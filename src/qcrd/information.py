@@ -4,8 +4,8 @@
 I(X;R) is I(X;R|B) with d_B = 1, and :func:`entropy_gap` computes both.
 :func:`cq_information` is the one function that turns blocks sigma_x into a
 rate: the public functions below, the solver's witnesses and every sample of
-its Monte-Carlo sweep call it, so sample ``i`` of a sweep has, bit for bit,
-the rate these functions give ``sweep_povm(d, k, seed, i)``.
+its Monte-Carlo sweep call it, summing left to right in any stack layout, so
+sample ``i`` of a sweep has, bit for bit, the rate of ``sweep_povm(d, k, seed, i)``.
 """
 
 from __future__ import annotations
@@ -23,6 +23,18 @@ class InvalidDistribution(ValueError):
     """Input is not a probability distribution within tolerance."""
 
 
+def _ordered_sum(t: np.ndarray) -> np.ndarray:
+    """Sum over the last axis, strictly left to right, where ``sum`` picks its
+    order from the memory layout.  With 64 or more sums per term (a sweep's)
+    it adds a term to all sums at once, else ``accumulate``s: the same bits."""
+    if t.size < 64 * t.shape[-1] ** 2:
+        return np.add.accumulate(t, axis=-1)[..., -1]
+    out = t[..., 0].copy()
+    for i in range(1, t.shape[-1]):
+        out += t[..., i]
+    return out
+
+
 def entropy_terms(w) -> np.ndarray:
     """-sum w log2 w over the last axis of nonnegative weights, with 0 log 0 := 0.
 
@@ -31,7 +43,7 @@ def entropy_terms(w) -> np.ndarray:
     """
     w = np.asarray(w, dtype=float)
     keep = w > EIG_FLOOR
-    return -np.where(keep, w * np.log2(np.where(keep, w, 1.0)), 0.0).sum(axis=-1)
+    return -_ordered_sum(np.where(keep, w * np.log2(np.where(keep, w, 1.0)), 0.0))
 
 
 def checked_distribution(p) -> np.ndarray:
@@ -63,7 +75,8 @@ def side_marginal(blocks: np.ndarray, side_dim: int) -> np.ndarray:
     """Tr_R of stacked operators (..., dRdB, dRdB) on R (x) B; with ``side_dim``
     1 this is the 1x1 trace."""
     d_r = blocks.shape[-1] // side_dim
-    return np.trace(blocks.reshape(blocks.shape[:-2] + (d_r, side_dim, d_r, side_dim)), axis1=-4, axis2=-2)
+    t = blocks.reshape(blocks.shape[:-2] + (d_r, side_dim, d_r, side_dim))
+    return _ordered_sum(t.diagonal(0, -4, -2))
 
 
 def _eigvals(mats: np.ndarray) -> np.ndarray:
@@ -89,13 +102,15 @@ def entropy_gap(blocks: np.ndarray, side_dim: int) -> np.ndarray:
     -p(x) log2 p(x).
     """
     joint = entropy_terms(np.clip(_eigvals(blocks), 0.0, None))
-    return (joint - entropy_terms(np.clip(_eigvals(side_marginal(blocks, side_dim)), 0.0, None))).sum(axis=-1)
+    return _ordered_sum(joint - entropy_terms(np.clip(_eigvals(side_marginal(blocks, side_dim)), 0.0, None)))
 
 
 def cq_information(ops: np.ndarray, side_dim: int) -> np.ndarray:
     """I(X;R|B) = gap(sum_x sigma_x) - gap(sigma) of stacked blocks
-    (..., k, dRdB, dRdB), one value per POVM, shape (...)."""
-    return entropy_gap(ops.sum(axis=-3)[..., None, :, :], side_dim) - entropy_gap(ops, side_dim)
+    (..., k, dRdB, dRdB), one value per POVM, shape (...); every sum is an
+    :func:`_ordered_sum`, so the value does not depend on the stack's layout."""
+    total = _ordered_sum(ops.swapaxes(-3, -1).swapaxes(-3, -2))[..., None, :, :]
+    return entropy_gap(total, side_dim) - entropy_gap(ops, side_dim)
 
 
 def mutual_information_cq(sigma: CqState) -> float:

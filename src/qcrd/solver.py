@@ -20,10 +20,10 @@ distortion of POVMs on the system factor A, with the purification read as
 (R, A, B).  A bipartite purification is the d_B = 1 case, where I(X;R|B) is
 I(X;R), so the number of system factors alone decides the setting.  Every
 sampled, compared and reported value comes from the kernels behind
-``mutual_information_cq`` and ``distortion``: sample ``i`` of
-:func:`sample_sweep` has, bit for bit, the rate they give
-``sweep_povm(d, k, seed, i)``.  Only the mirror descent's step and stopping
-tests compute L their own way.
+``mutual_information_cq`` and ``distortion``, whatever a stack's size or
+memory layout: sample ``i`` of :func:`sample_sweep` has, bit for bit, the
+rate they give ``sweep_povm(d, k, seed, i)``.  Only the mirror descent's
+step and stopping tests compute L their own way.
 
 L is convex in the blocks: I(X;R) = sum_x D(sigma_x || p_x rho_R),
 I(X;R|B) = const - sum_x D(sigma_x || 1_R (x) Tr_R sigma_x) by joint
@@ -93,7 +93,7 @@ class RdPoint:
     povm: Povm
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class RdCurve:
     """Rates over a sorted distortion grid; ``inf`` marks unreachable values.
 

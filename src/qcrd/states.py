@@ -33,7 +33,7 @@ def _freeze(a) -> np.ndarray:
     return a
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DensityOperator:
     """Unit-trace PSD operator, checked by :func:`~qcrd.operators.psd_stack` as a
     one-matrix stack; ``mat`` is a read-only copy."""
@@ -52,7 +52,7 @@ class DensityOperator:
         return self.mat.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Povm:
     """Finite measurement: PSD effects summing to the identity.
 
@@ -80,7 +80,7 @@ class Povm:
         return len(self.effects)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Purification:
     """Pure state on (reference, system factors...) with the reference slowest.
 
@@ -187,7 +187,7 @@ def apply_measurement_map(povm: Povm, state: DensityOperator) -> np.ndarray:
     return np.einsum("xij,ji->x", povm.effects, state.mat).real
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class CqState:
     """Classical-quantum block state sum_x sigma_x (x) |x><x|.
 
@@ -233,8 +233,9 @@ class CqState:
 
 def _stacked_matmul(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """``a @ b`` of stacked small matrices as sum_j a[..., :, j] b[..., j, :]: the
-    same elementwise steps for every slice, whatever stack it is in, where a
-    stacked ``@`` pays one BLAS call per slice."""
+    same elementwise steps for every slice, whatever the stack's size or memory
+    layout (which the result follows), where a stacked ``@`` pays one BLAS
+    call per slice."""
     out = a[..., :, 0, None] * b[..., None, 0, :]
     for j in range(1, a.shape[-1]):
         out += a[..., :, j, None] * b[..., None, j, :]
@@ -272,20 +273,23 @@ def _checked_basis(basis, dim: int) -> np.ndarray:
     return v
 
 
+def _dephase_stack(mats: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Diagonal parts of stacked matrices (..., d, d) in the orthonormal basis
+    ``v`` (columns), the whole stack in one contraction."""
+    diag = np.einsum("iz,...ij,jz->...z", v.conj(), mats, v).real
+    return (v * diag[..., None, :]) @ v.conj().T
+
+
 def dephase(m, basis) -> np.ndarray:
     """Remove off-diagonal elements of ``m`` in the given basis (columns)."""
     a = as_hermitian(m)
-    v = _checked_basis(basis, a.shape[0])
-    diag = np.einsum("iz,ij,jz->z", v.conj(), a, v).real
-    return (v * diag) @ v.conj().T
+    return _dephase_stack(a, _checked_basis(basis, a.shape[0]))
 
 
 def pinch_povm(povm: Povm, basis) -> Povm:
     """Replace every effect by its diagonal part in the given basis: one
     contraction over the effect stack, as :func:`dephase` does for one matrix."""
-    v = _checked_basis(basis, povm.dim)
-    diag = np.einsum("iz,xij,jz->xz", v.conj(), povm.effects, v).real
-    return Povm((v * diag[:, None, :]) @ v.conj().T)
+    return Povm(_dephase_stack(povm.effects, _checked_basis(basis, povm.dim)))
 
 
 def _inverse_cholesky_adjoint(m: np.ndarray) -> np.ndarray:
@@ -352,12 +356,15 @@ def _ginibre_draws(seed: int, start: int, stop: int, shape: tuple[int, ...]) -> 
     entry j, whose real and imaginary parts are independent standard
     normals.  Raw words rather than ``Generator`` methods keep the stream
     fixed by the Philox algorithm alone.
+    The result is a view of (*shape, samples) storage, sample axis last, so
+    the kernels' elementwise steps loop over the samples; no value depends
+    on the layout.
     """
-    n = prod(shape)
+    n, count = prod(shape), stop - start
     blocks = -(-2 * n // 4)
     bits = np.random.Philox(seed=seed, counter=start * blocks)
-    words = bits.random_raw((stop - start) * 4 * blocks).reshape(stop - start, 4 * blocks)
-    words = np.ascontiguousarray(words[:, :2 * n])
+    words = bits.random_raw(count * 4 * blocks).reshape(count, 4 * blocks)[:, :2 * n]
+    words = np.ascontiguousarray(words.view(complex).T).view(np.uint64)
     # computed in place, so a chunk's draw needs little more memory than its
     # matrices: the words of pair j become the real and imaginary part of g_j
     words >>= np.uint64(11)
@@ -372,7 +379,7 @@ def _ginibre_draws(seed: int, start: int, stop: int, shape: tuple[int, ...]) -> 
     np.sin(g.imag, out=g.imag)
     g.real *= radius
     g.imag *= radius
-    return g.reshape((stop - start, *shape))
+    return np.moveaxis(g.reshape((*shape, count)), -1, 0)
 
 
 def sweep_povm(dim: int, outcomes: int, seed: int, index: int) -> Povm:

@@ -22,6 +22,7 @@ from qcrd import (
     tensor,
     von_neumann_entropy,
 )
+from qcrd.information import _ordered_sum
 
 SIN2 = (2 - math.sqrt(2)) / 4  # smaller eigenvalue of the example source
 
@@ -94,6 +95,25 @@ class TestVonNeumannEntropy:
             rho = random_density(rng, int(rng.integers(2, 6)))
             w = np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)
             assert abs(von_neumann_entropy(rho) - shannon_entropy(w / w.sum())) < 1e-9
+
+
+class TestOrderedSum:
+    @pytest.mark.parametrize("shape", [(1,), (9,), (3, 2), (5, 9), (2048, 2), (300, 8), (1000, 8), (64, 4, 10)])
+    def test_left_to_right_in_any_layout(self, shape):
+        # reference: the terms added one at a time in Python; the layouts are
+        # C order and reversed axes (the sample-last order of a sweep), and the
+        # shapes reach both the accumulate and the add-per-term branch
+        rng = np.random.default_rng(len(shape) * 100 + shape[-1])
+        t = rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+        expected = np.empty(shape[:-1])
+        for idx in np.ndindex(*shape[:-1]):
+            acc = t[idx][0]
+            for term in t[idx][1:]:
+                acc = acc + term
+            expected[idx] = acc
+        reversed_axes = np.ascontiguousarray(t.transpose()).transpose()
+        for layout in (t, reversed_axes):
+            assert _ordered_sum(layout).tobytes() == expected.tobytes()
 
 
 class TestMutualInformation:

@@ -1164,6 +1164,51 @@ class TestSampleSweep:
         assert dist.shape == rate.shape == (1,)
 
 
+class TestStackLayout:
+    """A POVM's rate and distortion do not depend on the memory layout of the
+    stack it is in: the sweep stores its stacks sample-last, single POVMs are
+    C-ordered, and both give the same bits."""
+
+    CASES = [(2, 2, 1), (4, 5, 1), (2, 9, 1), (3, 10, 1), (2, 3, 2)]
+
+    @staticmethod
+    def _instance(d, k, d_b):
+        """(purification, observable, public rate of a cq state) for system
+        dimension d, k outcomes and side dimension d_b."""
+        rng = np.random.default_rng(1000 * d + 10 * k + d_b)
+        if d_b == 1:
+            psi, info = purify(random_density(rng, d)), mutual_information_cq
+        else:
+            psi, info = purify_joint(random_density(rng, d * d_b), (d, d_b)), conditional_mutual_information_cq
+        dim = psi.reference_dim * d_b
+        obs = DistortionObservable(tuple(random_density(rng, dim).mat * 1.5 for _ in range(k)))
+        return psi, obs, info
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_kernels_give_the_same_bits_in_either_layout(self, case):
+        d, k, d_b = case
+        psi, obs, _ = self._instance(d, k, d_b)
+        g = solver._ginibre_draws(3, 0, solver._SWEEP_CHUNK, (k, d, d))
+        sig = conditional_blocks(psi.measured_matrix(), povm_effects_from_ginibre(g))
+        c_order = np.ascontiguousarray(sig)
+        sample_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(sig, 0, -1)), -1, 0)
+        assert c_order.flags.c_contiguous and sample_last.strides[0] == sample_last.itemsize
+        assert np.array_equal(c_order, sample_last)
+        for kernel in (lambda s: cq_information(s, d_b), lambda s: expected_cost(obs.blocks, s)):
+            assert kernel(c_order).tobytes() == kernel(sample_last).tobytes()
+
+    @pytest.mark.parametrize("case", CASES)
+    def test_sweep_samples_are_their_povms_values(self, case):
+        d, k, d_b = case
+        psi, obs, info = self._instance(d, k, d_b)
+        n = 2 * solver._SWEEP_CHUNK + 3
+        dist, rate = sample_sweep(psi, obs, k, n, seed=3)
+        for i in (0, solver._SWEEP_CHUNK - 1, solver._SWEEP_CHUNK, n - 1):
+            povm = sweep_povm(d, k, 3, i)
+            assert rate[i] == info(induced_cq_state(psi, povm))
+            assert dist[i] == distortion(psi, povm, obs)
+
+
 class TestLowerEnvelope:
     def test_single_point(self):
         curve = lower_envelope([0.25], [0.0], np.array([0.1, 0.25, 0.3]))

@@ -140,6 +140,17 @@ class TestOwnership:
         for name, a in stored.items():
             assert np.array_equal(a, before[name]), name
 
+    @pytest.mark.parametrize("kind", ["DensityOperator", "Povm", "DistortionObservable", "CqState",
+                                      "Purification", "RdCurve"])
+    def test_value_types_compare_by_identity(self, kind):
+        obj, _ = _owned_case(kind)
+        twin, _ = _owned_case(kind)
+        assert (obj == obj) is True
+        assert (obj == twin) is False
+        assert (obj != twin) is True
+        assert isinstance(hash(obj), int)
+        assert {obj: 1}[obj] == 1 and len({obj, obj, twin}) == 2
+
     def test_families_are_read_only_stacks(self):
         effects = list(sample_random_povm(2, 3, 11).effects)
         povm = Povm(tuple(effects))
