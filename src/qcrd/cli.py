@@ -3,6 +3,8 @@
 With ``side_info`` a problem's rate is I(X;R|B) and its CSV opens with
 ``# assumes:`` lines.  ``curve --n 0`` skips the sampling half (sweep,
 envelope rows, SVG); ``qsi-curve`` is its deprecated alias for side_info specs.
+Without ``--grid`` a curve runs on :func:`~qcrd.solver.default_grid`, 26 points
+from 0 to the problem's zero-rate distortion, for presets and specs alike.
 
 All numeric output uses %.12g formatting, UTF-8, and LF line endings, and is
 a deterministic function of the problem definition, flags, and seed.
@@ -19,7 +21,7 @@ import numpy as np
 
 from . import checks as check_suites
 from .problem import PAPER_PRESET, ProblemSpec, ProblemSpecError, load_problem, paper_problem
-from .solver import lower_envelope, minimize_rate_curve, sample_sweep
+from .solver import default_grid, lower_envelope, minimize_rate_curve, sample_sweep
 
 _MAX_SVG_POINTS = 5000
 
@@ -83,12 +85,6 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.array(values)
 
 
-def _default_grid(problem: ProblemSpec, d_max: float) -> np.ndarray:
-    if problem.preset == PAPER_PRESET:
-        return 0.01 * np.arange(26)
-    return np.linspace(0.0, d_max, 26)
-
-
 def _write_lines(path: str, lines: list[str]) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -124,7 +120,7 @@ def cmd_curve(args) -> int:
     if args.command == "qsi-curve" and not problem.has_side_info:
         raise ProblemSpecError("qsi-curve needs a problem definition with side_info")
     psi, delta, outcomes = problem.build()
-    grid = _parse_grid(args.grid) if args.grid else _default_grid(problem, delta.d_max)
+    grid = _parse_grid(args.grid) if args.grid else default_grid(psi, delta, outcomes)
     if grid.min() < -1e-12 or grid.max() > delta.d_max + 1e-9:
         raise ProblemSpecError(f"grid must lie within [0, d_max={delta.d_max!r}]")
 

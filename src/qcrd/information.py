@@ -63,12 +63,12 @@ def checked_distribution(p) -> np.ndarray:
 
 def shannon_entropy(p) -> float:
     """Shannon entropy of a probability distribution, in bits."""
-    return float(entropy_terms(np.clip(checked_distribution(p), 0.0, None)))
+    return float(entropy_terms(checked_distribution(p)))
 
 
 def von_neumann_entropy(rho: DensityOperator) -> float:
     """H(rho) = -Tr(rho log2 rho) in bits."""
-    return float(entropy_terms(np.clip(np.linalg.eigvalsh(rho.mat), 0.0, None)))
+    return float(entropy_terms(np.linalg.eigvalsh(rho.mat)))
 
 
 def side_marginal(blocks: np.ndarray, side_dim: int) -> np.ndarray:
@@ -101,8 +101,8 @@ def entropy_gap(blocks: np.ndarray, side_dim: int) -> np.ndarray:
     The blocks are unnormalized, so with ``side_dim`` 1 the side term is
     -p(x) log2 p(x).
     """
-    joint = entropy_terms(np.clip(_eigvals(blocks), 0.0, None))
-    return _ordered_sum(joint - entropy_terms(np.clip(_eigvals(side_marginal(blocks, side_dim)), 0.0, None)))
+    joint = entropy_terms(_eigvals(blocks))
+    return _ordered_sum(joint - entropy_terms(_eigvals(side_marginal(blocks, side_dim))))
 
 
 def cq_information(ops: np.ndarray, side_dim: int) -> np.ndarray:

@@ -47,12 +47,12 @@ def as_square_matrix(m, name: str = "operator") -> np.ndarray:
     return a
 
 
-def as_hermitian(m, name: str = "operator", atol: float = HERMITICITY_ATOL) -> np.ndarray:
-    """Coerce ``m`` to a square matrix and check Hermiticity within ``atol``."""
+def as_hermitian(m, name: str = "operator") -> np.ndarray:
+    """Coerce ``m`` to a square matrix and check Hermiticity within ``HERMITICITY_ATOL``."""
     a = as_square_matrix(m, name)
     dev = float(np.abs(a - a.conj().T).max())
-    if dev > atol:
-        raise ValueError(f"{name} is not Hermitian: max|M - M^dag| = {dev:.3e} > {atol:.0e}")
+    if dev > HERMITICITY_ATOL:
+        raise ValueError(f"{name} is not Hermitian: max|M - M^dag| = {dev:.3e} > {HERMITICITY_ATOL:.0e}")
     return a
 
 

@@ -31,7 +31,9 @@ observable is lifted as sum_z d(z, x) |w_z><w_z|_R (x) I_B over the joint
 eigenbasis, so it needs dA*dB cost rows.  ``paper-example`` and
 ``eigenbasis`` observables need a plain source.  The solver options
 ``restarts`` and ``rng_seed`` are still parsed and validated, but the
-solver is deterministic and ignores them.
+solver is deterministic and ignores them.  A problem does not record
+whether it came from a preset: a curve's default grid is derived from the
+built problem alone, by :func:`qcrd.solver.default_grid`.
 """
 
 from __future__ import annotations
@@ -114,7 +116,6 @@ class ProblemSpec:
     purification: Purification
     observable: DistortionObservable
     solver: SolverOptions = SolverOptions()
-    preset: str | None = None
 
     @property
     def has_side_info(self) -> bool:
@@ -257,9 +258,7 @@ def parse_problem(data: dict) -> ProblemSpec:
         if outcomes != obs.outcome_count:
             raise ProblemSpecError(
                 f"outcomes={outcomes} does not match the observable's {obs.outcome_count} blocks")
-    # the preset's defaults, such as the curve's grid, hold for the paper's observable only
-    paper = source_data == PAPER_PRESET and data["observable"] in (PAPER_PRESET, {"kind": PAPER_PRESET})
-    return ProblemSpec(source, psi, obs, _parse_solver(data.get("solver")), PAPER_PRESET if paper else None)
+    return ProblemSpec(source, psi, obs, _parse_solver(data.get("solver")))
 
 
 def load_problem(path) -> ProblemSpec:

@@ -488,7 +488,7 @@ class _LagrangianSolver:
             tw, tu = np.linalg.eigh(np.einsum("rbi,xij,rcj->xbc", self.v3, blocks, self.v3.conj()))
             # L on this step's own eigendecompositions: it only decides steps and stops, no value is reported
             joint = -(np.exp(w) * w).sum() / math.log(2.0)
-            rate = self.obj.h_const - joint + entropy_terms(np.clip(tw, 0.0, None)).sum()
+            rate = self.obj.h_const - joint + entropy_terms(tw).sum()
             f_cand = rate + mu * np.einsum("xij,xji->", self.costs, blocks).real
             gain = f - f_cand
             kept = t == eta or gain >= 3.0 * tol
@@ -582,6 +582,14 @@ def minimize_rate_curve(
     return [solver.for_target(float(t)) for t in targets]
 
 
+def default_grid(psi: Purification, delta: DistortionObservable, outcomes: int) -> np.ndarray:
+    """Grid of a curve given none: 26 points from 0 to the zero-rate distortion D0 of the best
+    single-outcome measurement, past which R(D) = 0.  Where D0 is 0, as when a block vanishes
+    on the source's support, R is 0 at every distortion and the grid is the one point 0."""
+    d_zero = _Objective(psi, delta, outcomes).zero_rate_point()[0]
+    return np.linspace(0.0, d_zero, 26) if d_zero > 0.0 else np.zeros(1)
+
+
 def _check_target(target_d: float, delta: DistortionObservable) -> None:
     if not -1e-12 <= float(target_d) <= delta.d_max + 1e-9:
         raise ValueError(f"target distortion {target_d!r} outside [0, d_max={delta.d_max!r}]")
@@ -591,19 +599,19 @@ def _check_target(target_d: float, delta: DistortionObservable) -> None:
 # classical Blahut-Arimoto oracle
 
 
-def _ba_fixed_slope(p: np.ndarray, costs: np.ndarray, beta: float, eps: float = 1e-13,
-                    max_iter: int = 200_000) -> tuple[float, float]:
-    """Alternating minimization at fixed Lagrange slope; returns (rate, distortion)."""
+def _ba_fixed_slope(p: np.ndarray, costs: np.ndarray, beta: float) -> tuple[float, float]:
+    """Alternating minimization at fixed Lagrange slope, until the output distribution
+    moves by less than 1e-13 or for 200,000 iterations; returns (rate, distortion)."""
     shift = costs.min(axis=1, keepdims=True)
     e = np.exp(-beta * (costs - shift))
     q = np.full(costs.shape[1], 1.0 / costs.shape[1])
-    for _ in range(max_iter):
+    for _ in range(200_000):
         w = e * q
         w /= w.sum(axis=1, keepdims=True)
         q_new = p @ w
         delta = float(np.abs(q_new - q).max())
         q = q_new
-        if delta < eps:
+        if delta < 1e-13:
             break
     w = e * q
     w /= w.sum(axis=1, keepdims=True)

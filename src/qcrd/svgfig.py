@@ -16,8 +16,8 @@ def _fmt(v: float) -> str:
     return format(v, ".6g")
 
 
-def render_rd_svg(cloud, envelope, x_label: str = "D", y_label: str = "R (bits)") -> str:
-    """Render a scatter cloud plus envelope curve as an SVG document.
+def write_rd_svg(path, cloud, envelope) -> None:
+    """Write a scatter cloud plus envelope curve to ``path`` as an SVG document.
 
     ``cloud`` and ``envelope`` are sequences of finite (distortion, rate)
     pairs; the envelope is drawn as a single polyline in grid order.
@@ -45,10 +45,10 @@ def render_rd_svg(cloud, envelope, x_label: str = "D", y_label: str = "R (bits)"
         f'<line x1="{_MARGIN_L}" y1="{_MARGIN_T}" x2="{_MARGIN_L}" '
         f'y2="{_HEIGHT - _MARGIN_B}" stroke="black"/>',
         f'<text x="{_MARGIN_L + span_x / 2:.0f}" y="{_HEIGHT - 12}" '
-        f'text-anchor="middle" font-family="sans-serif" font-size="14">{x_label}</text>',
+        'text-anchor="middle" font-family="sans-serif" font-size="14">D</text>',
         f'<text x="16" y="{_MARGIN_T + span_y / 2:.0f}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="14" '
-        f'transform="rotate(-90 16 {_MARGIN_T + span_y / 2:.0f})">{y_label}</text>',
+        f'transform="rotate(-90 16 {_MARGIN_T + span_y / 2:.0f})">R (bits)</text>',
         f'<text x="{_MARGIN_L}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
         f'font-family="sans-serif" font-size="11">0</text>',
         f'<text x="{_WIDTH - _MARGIN_R}" y="{_HEIGHT - _MARGIN_B + 18}" text-anchor="middle" '
@@ -68,9 +68,5 @@ def render_rd_svg(cloud, envelope, x_label: str = "D", y_label: str = "R (bits)"
         f'<polyline class="envelope" points="{pts}" fill="none" stroke="#c23b22" stroke-width="2"/>'
     )
     lines.append("</svg>")
-    return "\n".join(lines) + "\n"
-
-
-def write_rd_svg(path, cloud, envelope, x_label: str = "D", y_label: str = "R (bits)") -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(render_rd_svg(cloud, envelope, x_label=x_label, y_label=y_label))
+        fh.write("\n".join(lines) + "\n")

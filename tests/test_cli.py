@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -16,7 +17,7 @@ from qcrd import checks as check_suites
 import qcrd.solver as solver
 from qcrd.cli import _CSV_CHUNK, _fmt, _parse_grid, _sample_rows, main
 from qcrd.problem import paper_problem
-from qcrd.solver import sample_sweep
+from qcrd.solver import default_grid, sample_sweep
 
 
 def light_solver():
@@ -183,17 +184,43 @@ class TestCurve:
         assert ">D</text>" in svg
         assert ">R (bits)</text>" in svg
 
-    def test_default_grid_of_a_paper_source_spec_reaches_its_d_max(self, tmp_path):
-        # the paper's source with another observable gets the generic grid,
-        # not the preset's 0..0.25: here d_max is 3 and the zero-rate end 0.439
+    def test_default_grid_of_a_paper_source_spec_reaches_its_d_zero(self, tmp_path):
+        # the paper's source with another observable gets its own grid, not the
+        # preset's 0..0.25: here d_max is 3 and the zero-rate distortion is
+        # 3 sin^2(pi/8) = 0.439, the cost of always guessing the likelier letter
         spec = write_spec(tmp_path, {"schema": 1, "source": "paper-example",
                                      "observable": {"kind": "classical-cost", "costs": [[0, 3], [3, 0]]},
                                      "solver": light_solver()})
         csv_path = tmp_path / "curve.csv"
         assert main(["curve", "--spec", spec, "--n", "0", "--out-csv", str(csv_path)]) == 0
         _, rows = read_rows(csv_path)
-        assert np.allclose([float(r[0]) for r in rows], np.linspace(0.0, 3.0, 26), rtol=0.0, atol=1e-12)
-        assert all(float(r[1]) == 0.0 for r in rows if float(r[0]) >= 0.44)
+        d_zero = 3.0 * math.sin(math.pi / 8.0) ** 2
+        assert np.allclose([float(r[0]) for r in rows], np.linspace(0.0, d_zero, 26), rtol=0.0, atol=1e-12)
+        assert float(rows[-1][1]) == 0.0 and all(float(r[1]) > 0.0 for r in rows[:-1])
+
+    def test_preset_default_grid_is_the_paper_grid(self, tmp_path):
+        # the preset's zero-rate distortion is 1/4, so its default grid writes
+        # the rows of the paper's grid 0, 0.01, ..., 0.25
+        default, explicit = tmp_path / "default.csv", tmp_path / "explicit.csv"
+        assert main(["curve", "--preset", "paper-example", "--n", "0", "--out-csv", str(default)]) == 0
+        assert main(["curve", "--preset", "paper-example", "--n", "0", "--grid", "0:0.25:0.01",
+                     "--out-csv", str(explicit)]) == 0
+        assert default.read_bytes() == explicit.read_bytes()
+
+    def test_default_grid_is_zero_alone_when_a_block_vanishes_on_the_support(self, tmp_path):
+        # the pure source |+> never reads outcome 0's cost |-><-|: the trivial
+        # measurement has distortion 0, so R is 0 everywhere and one point is the curve
+        spec = write_spec(tmp_path, {"schema": 1, "source": {"matrix": [[0.5, 0.5], [0.5, 0.5]]},
+                                     "observable": {"kind": "blocks", "blocks": [
+                                         [[0.5, -0.5], [-0.5, 0.5]], [[1.0, 0.0], [0.0, 1.0]]]}})
+        psi, delta, k = load_problem(spec).build()
+        assert default_grid(psi, delta, k).tolist() == [0.0]
+        csv_path, svg_path = tmp_path / "curve.csv", tmp_path / "curve.svg"
+        assert main(["curve", "--spec", spec, "--n", "50", "--out-csv", str(csv_path),
+                     "--out-svg", str(svg_path)]) == 0
+        _, rows = read_rows(csv_path)
+        # no random POVM reads exactly 0, while the trivial one does
+        assert rows == [["0", "", "unsampled"], ["0", "0", "descent"]] and svg_path.exists()
 
     def test_infeasible_grid_points_marked(self, tmp_path):
         # blocks both the identity: distortion is 1 for every POVM, so small
@@ -249,7 +276,8 @@ class TestCurve:
                      "--out-svg", str(tmp_path / "c.svg")])
         assert code == 1
 
-    @pytest.mark.parametrize("grid", ["0:0.2:1e-13", "0:inf:1", "0:0.2:x"])
+    @pytest.mark.parametrize("grid", ["0:0.2:1e-13", "0:inf:1", "0:0.2:x",
+                                      "1:2", "0:1:-0.1", "1:0:0.1", "0.2,0.1"])
     def test_unusable_grid_range_rejected(self, tmp_path, capsys, grid):
         code = main(["curve", "--preset", "paper-example", "--n", "10",
                      "--grid", grid, "--out-csv", str(tmp_path / "c.csv"),
@@ -286,6 +314,13 @@ class TestCurve:
         {"solver": {"lagrange_grid": 5}},
         {"solver": {"restarts": 2.5}},
         {"outcomes": True},
+        {"source": {"matrix": [0.5, 0.5]}},
+        {"purification": 0.5},
+        {"solver": [1]},
+        {"observable": {"costs": [[0, 1], [1, 0]]}},
+        {"observable": {"kind": "blocks", "blocks": []}},
+        {"side_info": {"matrix": [[0.5, 0.0], [0.0, 0.5]], "dims": [2]}},
+        {"source": "qubit"},
     ])
     def test_malformed_spec_fields_fail_cleanly(self, tmp_path, capsys, fields):
         spec = write_spec(tmp_path, {"schema": 1, "source": "paper-example",

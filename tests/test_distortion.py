@@ -156,6 +156,10 @@ class TestClassicalCostObservable:
         with pytest.raises(ValueError):
             classical_cost_observable(np.array([[0.0, -1.0]]), np.eye(1))
 
+    def test_rejects_costs_that_are_not_a_matrix(self):
+        with pytest.raises(ValueError, match="2-D"):
+            classical_cost_observable(np.array([0.0, 1.0]), np.eye(2))
+
 
 class TestDistortionEvaluation:
     def test_agrees_with_bilinear_oracle(self):

@@ -22,7 +22,7 @@ from qcrd import (
     tensor,
     von_neumann_entropy,
 )
-from qcrd.information import _ordered_sum
+from qcrd.information import EIG_FLOOR, _ordered_sum, entropy_terms
 
 SIN2 = (2 - math.sqrt(2)) / 4  # smaller eigenvalue of the example source
 
@@ -114,6 +114,22 @@ class TestOrderedSum:
         reversed_axes = np.ascontiguousarray(t.transpose()).transpose()
         for layout in (t, reversed_axes):
             assert _ordered_sum(layout).tobytes() == expected.tobytes()
+
+
+class TestEntropyTerms:
+    @pytest.mark.parametrize("shape", [(9,), (5, 3), (2048, 2)])
+    def test_clipping_first_changes_no_bit(self, shape):
+        # weights at or below the floor count as zero, negative and NaN ones
+        # included, so callers pass eigenvalues and probabilities unclipped;
+        # the shapes reach both branches of the ordered sum
+        rng = np.random.default_rng(shape[-1])
+        w = rng.uniform(-0.5, 1.0, shape)
+        w.flat[::7] = np.nan
+        w.flat[1::7] = -0.0
+        w.flat[2::7] = EIG_FLOOR
+        w.flat[3::7] = -EIG_FLOOR
+        for layout in (w, np.ascontiguousarray(w.transpose()).transpose()):
+            assert entropy_terms(layout).tobytes() == entropy_terms(np.clip(layout, 0.0, None)).tobytes()
 
 
 class TestMutualInformation:

@@ -16,6 +16,10 @@ from qcrd import (
     trace_distance,
 )
 from qcrd.problem import paper_problem
+from qcrd.solver import default_grid
+
+#: The paper's grid 0, 0.01, ..., 0.25, up to the preset's zero-rate distortion.
+PAPER_GRID = 0.01 * np.arange(26)
 
 
 def minimal_spec(**overrides):
@@ -57,7 +61,8 @@ class TestParsing:
         assert a.purification.vector.tobytes() == b.purification.vector.tobytes()
         assert len(a.observable.blocks) == len(b.observable.blocks)
         assert all(x.tobytes() == y.tobytes() for x, y in zip(a.observable.blocks, b.observable.blocks))
-        assert a.preset == b.preset == "paper-example"
+        assert default_grid(*a.build()).tobytes() == default_grid(*b.build()).tobytes()
+        assert np.allclose(default_grid(*a.build()), PAPER_GRID, rtol=0.0, atol=1e-15)
 
     def test_matrix_source_with_complex_pairs(self):
         mat = [[[0.5, 0.0], [0.0, -0.25]], [[0.0, 0.25], [0.5, 0.0]]]
@@ -75,6 +80,10 @@ class TestParsing:
         mat = [[entry, 0.0], [0.0, 0.5]]
         with pytest.raises(ProblemSpecError):
             parse_problem(minimal_spec(source={"matrix": mat}, observable={"kind": "eigenbasis"}))
+
+    @pytest.mark.parametrize("document", [[], "paper-example", [minimal_spec()]])
+    def test_document_must_be_an_object(self, tmp_path, document):
+        assert_rejected(document, tmp_path)
 
     def test_schema_version_required(self):
         with pytest.raises(ProblemSpecError):
@@ -107,7 +116,14 @@ class TestParsing:
         ({"kind": "eigenbasis"}, None),
     ])
     def test_preset_needs_the_paper_observable_too(self, observable, preset):
-        assert parse_problem(minimal_spec(observable=observable)).preset == preset
+        # every default grid ends at its problem's zero-rate distortion min_x Tr(Delta_x rho_R),
+        # which is the paper's 1/4 for the paper's observable only
+        problem = parse_problem(minimal_spec(observable=observable))
+        grid = default_grid(*problem.build())
+        rho_r = problem.purification.reduced_reference_state()
+        d_zero = np.einsum("xij,ji->x", problem.observable.blocks, rho_r).real.min()
+        assert np.allclose(grid, np.linspace(0.0, d_zero, 26), rtol=0.0, atol=1e-15)
+        assert np.allclose(grid, PAPER_GRID, rtol=0.0, atol=1e-12) == (preset == "paper-example")
 
     def test_cost_rows_must_match_source_dimension(self):
         with pytest.raises(ProblemSpecError, match="3 rows.*dimension 2"):
@@ -275,7 +291,7 @@ class TestLoadProblem:
         path = tmp_path / "problem.json"
         path.write_text(json.dumps(minimal_spec()), encoding="utf-8")
         problem = load_problem(path)
-        assert problem.preset == "paper-example"
+        assert np.allclose(default_grid(*problem.build()), PAPER_GRID, rtol=0.0, atol=1e-15)
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(ProblemSpecError):

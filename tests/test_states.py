@@ -84,6 +84,28 @@ class TestDomainTypes:
         with pytest.raises(ValueError):
             CqState(np.array([0.7, 0.7]), (np.eye(2) * 0.35, np.eye(2) * 0.35), (2,))
 
+    @pytest.mark.parametrize("make, error", [
+        pytest.param(lambda: Purification(np.array([np.nan, 0.0, 0.0, 1.0]), 2, (2,)), ValueError,
+                     id="purification-non-finite"),
+        pytest.param(lambda: Purification(np.array([1.0]), 0, (1,)), DimensionMismatch,
+                     id="purification-zero-dimension"),
+        pytest.param(lambda: Purification(np.eye(8)[0], 1, (2, 2, 2)), DimensionMismatch,
+                     id="purification-three-system-factors"),
+        pytest.param(lambda: CqState(np.array([0.5, 0.5]), (np.eye(2) / 2,), (2,)), DimensionMismatch,
+                     id="cq-state-count-mismatch"),
+        pytest.param(lambda: CqState(np.array([1.0]), (np.eye(3) / 3,), (2,)), DimensionMismatch,
+                     id="cq-state-operator-shape"),
+        pytest.param(lambda: RdCurve(np.array([0.0, 0.1]), np.array([1.0])), ValueError,
+                     id="curve-rates-length"),
+        pytest.param(lambda: RdCurve(np.zeros((2, 2)), np.zeros((2, 2))), ValueError,
+                     id="curve-grid-not-1d"),
+        pytest.param(lambda: RdCurve(np.array([0.0, 0.1]), np.array([1.0, 0.5]), np.array([3])), ValueError,
+                     id="curve-witnesses-length"),
+    ])
+    def test_malformed_values_rejected(self, make, error):
+        with pytest.raises(error):
+            make()
+
 
 def _owned_case(kind):
     """(object, the caller's writable arrays it was built from) of one value type."""
