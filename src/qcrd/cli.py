@@ -7,7 +7,10 @@ Without ``--grid`` a curve runs on :func:`~qcrd.solver.default_grid`, 26 points
 from 0 to the problem's zero-rate distortion, for presets and specs alike.
 
 All numeric output uses %.12g formatting, UTF-8, and LF line endings, and is
-a deterministic function of the problem definition, flags, and seed.
+a deterministic function of the problem definition, flags, and seed.  The
+rows of ``sample`` are rendered by numpy from exact digit arithmetic, byte for
+byte the text of ``%.12g``; a value that arithmetic cannot settle goes through
+Python's ``%.12g`` itself.
 """
 
 from __future__ import annotations
@@ -41,12 +44,90 @@ def _fmt(value: float) -> str:
     return format(value, ".12g")
 
 
-def _sample_rows(dist: list, rate: list, start: int) -> str:
-    """``distortion,rate_bits,seed_index`` rows of samples ``start, start+1, ...``
-    as one ``%`` format, the same text as :func:`_fmt` of every value."""
-    fields = [0] * (3 * len(dist))
-    fields[0::3], fields[1::3], fields[2::3] = dist, rate, range(start, start + len(dist))
-    return ("%.12g,%.12g,%d\n" * len(dist)) % tuple(fields)
+def _digit_words() -> np.ndarray:
+    """Each 3-digit group 0-999 as a 4-byte word, NUL where a character is left
+    out, in eight variants of 1000 words: after a NUL (0, 1) or a ``0`` (2, 3),
+    with all digits (0, 2) or without the zeros that end a value (1, 3); without
+    those zeros before ``,`` (4); without leading zeros (5); and before a
+    newline with all digits (6) or without leading zeros but the last (7)."""
+    digits = np.arange(1000, dtype=np.uint16)[:, None] // np.array([100, 10, 1], np.uint16) % 10
+    text = (digits + 48).astype(np.uint8)
+    nonzero = digits != 0
+    to_last = text * np.logical_or.accumulate(nonzero[:, ::-1], 1)[:, ::-1]
+    from_first = np.logical_or.accumulate(nonzero, 1)
+    pad = np.zeros((1000, 1), np.uint8)
+    variants = [(pad, text), (pad, to_last), (pad + 48, text), (pad + 48, to_last), (to_last, pad + 44),
+                (pad, text * from_first), (text, pad + 10),
+                (text * (from_first | [False, False, True]), pad + 10)]
+    return np.concatenate([np.hstack(v) for v in variants]).view(np.uint32).ravel()
+
+
+def _sample_csv(dist: np.ndarray, rate: np.ndarray, start: int = 0):
+    """Yield the ``distortion,rate_bits,seed_index`` rows of samples ``start``,
+    ``start + 1``, ... as UTF-8, ``_CSV_CHUNK`` rows at a time, each byte for
+    byte ``"%.12g,%.12g,%d\\n"``.
+
+    A value v in [1e-4, 1) is ``0.``, then -e-1 zeros, then the 12 digits of
+    n = rint(m), m = v 10^(11-e), e = floor(log10 v), without trailing zeros.
+    10^(11-e) is exact, so m carries one rounding of at most 2^-14, and n is
+    the correctly rounded digit string wherever m lies 1e-3 or more from a
+    tie.  Every other value (near-ties, n = 10^12, values outside [1e-4, 1),
+    -0.0, nan, inf) is written by Python's ``%.12g``.  A row is a fixed run of
+    4-byte words padded with NUL bytes, which are dropped from each chunk.
+    """
+    words = _digit_words()
+    prefix = np.frombuffer(b"0.000.000.0\0" b"0.\0\0", np.uint32)  # by e + 4
+    scale = 10.0 ** np.arange(15, 11, -1)  # 10^(11-e) by e + 4
+    size = min(len(dist), _CSV_CHUNK)
+    groups = -(-len(str(start + len(dist) - 1)) // 3)  # a shorter index leads with NUL groups
+    rows = np.empty((10 + groups, size), np.uint32)  # one column per row
+    value_words = rows[:10].reshape(2, 5, size)  # per value: prefix, then n's four groups
+    x, m, n = np.empty((3, 2, size))
+    e4 = np.empty((2, size), np.intp)
+    index, offsets = np.empty(size), np.arange(size, dtype=float)
+    # q[..., j, :] = floor(n / 1000^(4-j)) for j >= 1 after q[..., 0, :] = 0; group j is q_j - 1000 q_(j-1)
+    q, k = np.zeros((2, 2, 5, size))
+    iq, ik = np.zeros((2, groups + 1, size))
+    divisors = 1000.0 ** np.arange(3, -1, -1)[:, None]
+    index_divisors = 1000.0 ** np.arange(groups - 1, -1, -1)[:, None]
+    index_lead = np.array([5.0] * (groups - 1) + [1.0])[:, None]
+    for lo in range(0, len(dist), _CSV_CHUNK):
+        w = min(size, len(dist) - lo)
+        x[0, :w], x[1, :w] = dist[lo:lo + w], rate[lo:lo + w]
+        fast = np.isfinite(x)
+        np.copyto(x, 0.5, where=~fast)  # no comparison below meets a nan, log10 no value <= 0,
+        fast &= (x > 0) & (x < 1)  # and no product overflows; n's range decides the rest
+        np.copyto(x, 0.5, where=~fast)
+        np.log10(x, out=m)
+        np.floor(m, out=m)
+        m += 4
+        e4[...] = np.clip(m, 0, 3, out=m)  # off by one beside a power of 10, where n then falls outside
+        np.take(scale, e4, out=m)
+        m *= x
+        np.rint(m, out=n)
+        fast &= (m >= 1e11) & (n < 1e12) & (np.abs(m - n, out=m) <= 0.499)
+        np.floor(np.divide(n[:, None], divisors, out=q[:, 1:]), out=q[:, 1:])
+        np.equal(np.multiply(q[:, 1:], divisors, out=k[:, 1:]), n[:, None], out=k[:, 1:])  # no digit after j
+        k[:, 4] += 3
+        np.add(k[:, 1], 2, out=k[:, 1], where=e4 == 0)
+        k *= 1000
+        k += q
+        k[:, 1:] -= 1000 * q[:, :-1]
+        np.take(prefix, e4, out=value_words[:, 0])
+        np.take(words, k[:, 1:].astype(np.intp), out=value_words[:, 1:])
+        for col, row in zip(*np.nonzero(~fast[:, :w])):
+            text = _fmt(float((dist, rate)[col][lo + row])) + ","
+            value_words[col, :, row] = np.frombuffer(text.encode().ljust(20, b"\0"), np.uint32)
+        np.add(offsets, start + lo, out=index)
+        np.floor(np.divide(index, index_divisors, out=iq[1:]), out=iq[1:])
+        np.equal(iq[:-1], 0, out=ik[1:])  # no digit before group j
+        ik[1:] *= index_lead
+        ik[-1] += 6
+        ik *= 1000
+        ik += iq
+        ik[1:] -= 1000 * iq[:-1]
+        np.take(words, ik[1:].astype(np.intp), out=rows[10:])
+        yield rows[:, :w].T.tobytes().translate(None, b"\0")
 
 
 def _load(args) -> ProblemSpec:
@@ -104,13 +185,11 @@ def cmd_sample(args) -> int:
     problem = _load(args)
     psi, delta, outcomes = problem.build()
     dist, rate = sample_sweep(psi, delta, outcomes, args.n, args.seed)
-    # rows are formatted and written a chunk at a time, so the text of the
-    # whole file never sits in memory
-    with open(args.out_csv, "w", encoding="utf-8", newline="") as fh:
-        fh.write("\n".join(_header(problem, "distortion,rate_bits,seed_index")) + "\n")
-        for start in range(0, dist.size, _CSV_CHUNK):
-            stop = start + _CSV_CHUNK
-            fh.write(_sample_rows(dist[start:stop].tolist(), rate[start:stop].tolist(), start))
+    # numpy renders the rows a chunk at a time, so the text of the whole file
+    # never sits in memory; the bytes are those of "%.12g,%.12g,%d\n" per row
+    with open(args.out_csv, "wb") as fh:
+        fh.write(("\n".join(_header(problem, "distortion,rate_bits,seed_index")) + "\n").encode("utf-8"))
+        fh.writelines(_sample_csv(dist, rate))
     return 0
 
 

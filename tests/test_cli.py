@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -14,8 +15,9 @@ from qcrd import (
     tensor,
 )
 from qcrd import checks as check_suites
+import qcrd.cli as cli
 import qcrd.solver as solver
-from qcrd.cli import _CSV_CHUNK, _fmt, _parse_grid, _sample_rows, main
+from qcrd.cli import _CSV_CHUNK, _fmt, _parse_grid, _sample_csv, main
 from qcrd.problem import paper_problem
 from qcrd.solver import default_grid, sample_sweep
 
@@ -34,6 +36,12 @@ def write_spec(tmp_path, data, name="problem.json"):
     path = tmp_path / name
     path.write_text(json.dumps(data), encoding="utf-8")
     return str(path)
+
+
+def percent_rows(dist, rate, start=0):
+    """The reference text of ``sample`` rows: Python's own ``%.12g`` of each value."""
+    rows = zip(np.asarray(dist).tolist(), np.asarray(rate).tolist(), range(start, start + len(dist)))
+    return "".join("%.12g,%.12g,%d\n" % row for row in rows).encode("utf-8")
 
 
 def read_rows(path):
@@ -75,8 +83,41 @@ class TestSample:
         dist = [-0.0, -1e-17, 1e-300, 0.1, 0.25, 1.0 / 3.0]
         rate = [0.1, -0.0, 1e-300, -1e-17, 0.0, 2.0 / 3.0]
         expected = "".join(f"{_fmt(d)},{_fmt(r)},{i}\n" for i, (d, r) in enumerate(zip(dist, rate), 40))
-        assert _sample_rows(dist, rate, 40) == expected
-        assert _sample_rows([], [], 0) == ""
+        assert b"".join(_sample_csv(np.array(dist), np.array(rate), 40)) == expected.encode("utf-8")
+        assert b"".join(_sample_csv(np.array([]), np.array([]), 0)) == b""
+
+    def test_rows_are_percent_format_bytes_for_adversarial_values(self):
+        # the command-line runs of sample turn RuntimeWarnings into errors, and a
+        # nan cast to an integer warns
+        rng = np.random.default_rng(11)
+        n, e = rng.integers(10**11, 10**12, 6000).astype(float), rng.integers(-4, 0, 6000)
+        near_ties = (n + 0.5 + rng.uniform(-2e-3, 2e-3, 6000)) * 10.0 ** (e - 11)
+        exact_ties = (n + 0.5) / 10.0 ** (11 - e)
+        edges = np.array([9.99999999999949e-5, 9.9999999999995e-5, 1e-4, 0.999999999999499,
+                          0.9999999999995, 1.0, np.nextafter(1.0, 0), np.nextafter(1e-3, 0), 1e-3,
+                          0.0100000000000005, 2.5, 12345678901234.0, -0.3, -0.0, 0.0, 1e-300, 5e-324,
+                          np.nan, np.inf, -np.inf])
+        wide = 10.0 ** rng.uniform(-30, 30, 6000) * rng.choice([-1.0, 1.0], 6000)
+        in_range = 10.0 ** rng.uniform(-4, 0, 6000)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            cases = [(near_ties, exact_ties, 0), (edges, edges[::-1], 0), (wide, wide[::-1], 0),
+                     (in_range, wide, 0), (np.array([]), np.array([]), 0)]
+            cases += [(edges, edges[::-1], start) for start in (999, 1000, 999_999, 10**6, 10**11 - 1)]
+            # two chunks, the first with an index that gains a digit group
+            cases.append((np.concatenate([in_range, wide]), np.concatenate([near_ties, in_range]), 10**6 - 100))
+            for dist, rate, start in cases:
+                assert b"".join(_sample_csv(dist, rate, start)) == percent_rows(dist, rate, start)
+
+    def test_preset_values_take_the_numpy_path(self, monkeypatch):
+        # the fast path covers the preset's cloud; were its values to move onto
+        # the Python fallback the bytes would still match, but the speed would go
+        calls = []
+        monkeypatch.setattr(cli, "_fmt", lambda value: calls.append(value) or _fmt(value))
+        psi, delta, k = paper_problem().build()
+        dist, rate = sample_sweep(psi, delta, k, 20_000, 1)
+        assert b"".join(_sample_csv(dist, rate)) == percent_rows(dist, rate)
+        assert 0 < len(calls) <= 0.01 * (dist.size + rate.size)
 
     def test_rows_across_csv_chunks(self, tmp_path):
         n = _CSV_CHUNK + 8
@@ -98,6 +139,19 @@ class TestSample:
         dist, rate = sample_sweep(psi, delta, k, 40, 1)
         rows = "".join(f"{_fmt(d)},{_fmt(r)},{i}\n" for i, (d, r) in enumerate(zip(dist, rate)))
         assert out.read_bytes() == ("distortion,rate_bits,seed_index\n" + rows).encode("utf-8")
+
+    def test_side_info_example_rows_are_its_sweep(self, tmp_path):
+        # the only example whose side factor has d_B > 1; its rows follow the
+        # assumptions header and cross a chunk boundary of the writer
+        example = Path(__file__).resolve().parents[1] / "examples" / "side-info.json"
+        psi, delta, k = load_problem(str(example)).build()
+        assert len(psi.system_dims) == 2 and psi.system_dims[1] > 1
+        n = _CSV_CHUNK + 8
+        out = tmp_path / "samples.csv"
+        assert main(["sample", "--spec", str(example), "--n", str(n), "--seed", "1", "--out-csv", str(out)]) == 0
+        dist, rate = sample_sweep(psi, delta, k, n, 1)
+        header = "".join(line + "\n" for line in cli._QSI_METADATA) + "distortion,rate_bits,seed_index\n"
+        assert out.read_bytes() == header.encode("utf-8") + percent_rows(dist, rate)
 
     def test_lf_line_endings_and_utf8(self, tmp_path):
         out = tmp_path / "samples.csv"
