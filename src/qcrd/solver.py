@@ -55,8 +55,6 @@ from .states import (Povm, Purification, _freeze, _ginibre_draws, conditional_bl
 #: Largest Lagrange multiplier tried before declaring a target infeasible.
 MU_CAP = 1e7
 
-_SWEEP_CHUNK = 2048
-
 #: Singular values of M below this fraction of the largest one are dropped:
 #: the solver works in range(M) only.
 _RANK_CUT = 1e-12
@@ -229,6 +227,13 @@ def sample_sweep(
     the output does not depend on the chunking and the first ``m`` samples
     do not depend on ``n_samples``.
 
+    A chunk holds max(2048, 2^15 // (k max(d_A, d_RB)^2)) samples
+    (:func:`_sweep_chunk`): 4,096 on the paper example (k = 2, d_A = d_RB =
+    2) and 2,048 on ``examples/qutrit.json`` and ``examples/side-info.json``.
+    In 60,000-sample sweeps (7 interleaved runs, 2-vCPU Xeon), 4,096 cut the
+    paper example's CPU by 10% against 2,048, while on the two example specs
+    4,096 cost 3-10% more CPU and 1,024 6-8% more.
+
     Chunks run on one thread per CPU in the process's affinity (``taskset``
     limits it); each writes only its own slice with batch-invariant kernels,
     so the output is the same for any worker count.  A chunk's exception is
@@ -241,18 +246,26 @@ def sample_sweep(
 
     obj = _Objective(psi, delta, outcomes)
     shape = (obj.outcomes, obj.system_dim, obj.system_dim)
+    chunk = _sweep_chunk(obj.outcomes, obj.system_dim, len(obj.m))
     dist, rate = np.empty(n_samples), np.empty(n_samples)
 
     def run_chunk(start: int) -> None:
-        stop = min(start + _SWEEP_CHUNK, n_samples)
-        g = _ginibre_draws(seed, start, stop, shape)
-        rate[start:stop], dist[start:stop] = obj.evaluate(povm_effects_from_ginibre(g))
+        stop = min(start + chunk, n_samples)
+        # the draw is handed over unnamed, so the map frees it once its Gram product exists
+        effects = povm_effects_from_ginibre(_ginibre_draws(seed, start, stop, shape))
+        rate[start:stop], dist[start:stop] = obj.evaluate(effects)
 
-    starts = range(0, n_samples, _SWEEP_CHUNK)
+    starts = range(0, n_samples, chunk)
     with ThreadPoolExecutor(min(_sweep_workers(), len(starts))) as pool:
         # re-raises the first failed chunk's exception and cancels the chunks not yet started
         list(pool.map(run_chunk, starts))
     return dist, rate
+
+
+def _sweep_chunk(outcomes: int, system_dim: int, block_dim: int) -> int:
+    """Samples in one chunk of :func:`sample_sweep`: 2^15 matrix entries of a
+    sample's larger stack, its k d_A x d_A effects or k d_RB x d_RB blocks."""
+    return max(2048, 2**15 // (outcomes * max(system_dim, block_dim) ** 2))
 
 
 def _sweep_workers() -> int:

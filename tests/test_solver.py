@@ -41,6 +41,7 @@ from qcrd import (
 
 from qcrd.distortion import expected_cost
 from qcrd.information import cq_information
+from qcrd.problem import paper_problem
 from qcrd.states import conditional_blocks, povm_effects_from_ginibre
 
 HAMMING = np.array([[0.0, 1.0], [1.0, 0.0]])
@@ -970,18 +971,18 @@ class TestSampleSweep:
         for psi, obs, _, _ in self._sweep_instances():
             runs = []
             for chunk in (1, 7, 4096):
-                monkeypatch.setattr(solver, "_SWEEP_CHUNK", chunk)
+                monkeypatch.setattr(solver, "_sweep_chunk", lambda *dims: chunk)
                 runs.append(sample_sweep(psi, obs, 2, 100, seed=13))
             for dist, rate in runs[1:]:
                 assert np.array_equal(dist, runs[0][0]) and np.array_equal(rate, runs[0][1])
 
     def test_output_does_not_depend_on_worker_count(self, monkeypatch):
-        default_chunk = solver._SWEEP_CHUNK
         for psi, obs, _, _ in self._sweep_instances():
+            default_chunk = solver._sweep_chunk(2, psi.system_dims[0], psi.reference_dim * psi.side_dim)
             for chunk in (1, 7, default_chunk):
                 # three or more chunks; at 7 and the default the last one is short
                 n = max(40, 2 * chunk + 5)
-                monkeypatch.setattr(solver, "_SWEEP_CHUNK", chunk)
+                monkeypatch.setattr(solver, "_sweep_chunk", lambda *dims: chunk)
                 runs = []
                 for workers in (1, 2, 3):
                     monkeypatch.setattr(solver, "_sweep_workers", lambda: workers)
@@ -991,7 +992,7 @@ class TestSampleSweep:
 
     def test_more_workers_than_cpus_with_frequent_switches(self, monkeypatch):
         psi, obs = purify(example_source()), example_observable()
-        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 1)
+        monkeypatch.setattr(solver, "_sweep_chunk", lambda *dims: 1)
         monkeypatch.setattr(solver, "_sweep_workers", lambda: 1)
         serial = sample_sweep(psi, obs, 2, 200, seed=4)
         monkeypatch.setattr(solver, "_sweep_workers", lambda: (os.cpu_count() or 1) + 2)
@@ -1017,7 +1018,7 @@ class TestSampleSweep:
         monkeypatch.setattr(solver, "_sweep_workers", lambda: 16)
         psi, obs = purify(example_source()), example_observable()
         sample_sweep(psi, obs, 2, 5, seed=0)
-        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 2)
+        monkeypatch.setattr(solver, "_sweep_chunk", lambda *dims: 2)
         sample_sweep(psi, obs, 2, 5, seed=0)
         sample_sweep(psi, obs, 2, 100, seed=0)
         assert sizes == [1, 3, 16]
@@ -1033,7 +1034,7 @@ class TestSampleSweep:
         """Chunks of 4 samples, two workers, and a rate that calls ``failure``
         on every chunk but the first (a 10-sample sweep's chunk at 8 is short)."""
         real = solver.cq_information
-        monkeypatch.setattr(solver, "_SWEEP_CHUNK", 4)
+        monkeypatch.setattr(solver, "_sweep_chunk", lambda *dims: 4)
         monkeypatch.setattr(solver, "_sweep_workers", lambda: 2)
 
         def rate(sig, side_dim):
@@ -1110,8 +1111,9 @@ class TestSampleSweep:
 
     def test_golden_draws(self):
         # the Ginibre entries of samples 0 and 1 at seed 0, shape (2, 2, 2);
-        # the tolerance admits last-bit differences of log and cos between
-        # builds, while any change of the stream moves the entries by order one
+        # the tolerance admits last-bit differences of log, cos and sin between
+        # builds and of the phase's reduction to a quarter turn, while any
+        # change of the stream moves the entries by order one
         h = float.fromhex
         golden = [
             ("-0x1.0d13c9f9c8b86p-7", "0x1.58528439b0459p-3"), ("0x1.e579e4625c05ep-1", "0x1.3a33a9db6d21cp-1"),
@@ -1128,9 +1130,9 @@ class TestSampleSweep:
 
     def test_golden_stream(self):
         # first effect of samples 0 and 1 at seed 0, through the Cholesky
-        # whitening of test_golden_draws' entries; the tolerance admits
-        # last-bit differences of log and cos between builds, while any
-        # change of the stream or the map moves the entries by order one
+        # whitening of test_golden_draws' entries; the tolerance admits the
+        # last-bit differences that test admits, while any change of the
+        # stream or the map moves the entries by order one
         h = float.fromhex
         golden = [
             [[complex(h("0x1.08107dbab83aep-1"), h("0x1.9f2766f4c9f2ep-60")),
@@ -1188,7 +1190,7 @@ class TestStackLayout:
     def test_kernels_give_the_same_bits_in_either_layout(self, case):
         d, k, d_b = case
         psi, obs, _ = self._instance(d, k, d_b)
-        g = solver._ginibre_draws(3, 0, solver._SWEEP_CHUNK, (k, d, d))
+        g = solver._ginibre_draws(3, 0, solver._sweep_chunk(k, d, psi.reference_dim * d_b), (k, d, d))
         sig = conditional_blocks(psi.measured_matrix(), povm_effects_from_ginibre(g))
         c_order = np.ascontiguousarray(sig)
         sample_last = np.moveaxis(np.ascontiguousarray(np.moveaxis(sig, 0, -1)), -1, 0)
@@ -1197,16 +1199,32 @@ class TestStackLayout:
         for kernel in (lambda s: cq_information(s, d_b), lambda s: expected_cost(obs.blocks, s)):
             assert kernel(c_order).tobytes() == kernel(sample_last).tobytes()
 
+    @staticmethod
+    def _sweep_samples_are_their_povms_values(psi, obs, k, info) -> int:
+        """Checks the samples on both sides of the first chunk boundary and the
+        last one of a short third chunk against their POVMs; returns the chunk."""
+        d = psi.system_dims[0]
+        chunk = solver._sweep_chunk(k, d, psi.reference_dim * psi.side_dim)
+        n = 2 * chunk + 3
+        dist, rate = sample_sweep(psi, obs, k, n, seed=3)
+        for i in (0, chunk - 1, chunk, n - 1):
+            povm = sweep_povm(d, k, 3, i)
+            assert rate[i] == info(induced_cq_state(psi, povm))
+            assert dist[i] == distortion(psi, povm, obs)
+        return chunk
+
     @pytest.mark.parametrize("case", CASES)
     def test_sweep_samples_are_their_povms_values(self, case):
         d, k, d_b = case
         psi, obs, info = self._instance(d, k, d_b)
-        n = 2 * solver._SWEEP_CHUNK + 3
-        dist, rate = sample_sweep(psi, obs, k, n, seed=3)
-        for i in (0, solver._SWEEP_CHUNK - 1, solver._SWEEP_CHUNK, n - 1):
-            povm = sweep_povm(d, k, 3, i)
-            assert rate[i] == info(induced_cq_state(psi, povm))
-            assert dist[i] == distortion(psi, povm, obs)
+        self._sweep_samples_are_their_povms_values(psi, obs, k, info)
+
+    @pytest.mark.parametrize("spec, chunk", [(None, 4096), ("qutrit.json", 2048), ("side-info.json", 2048)])
+    def test_chunk_rule_on_the_preset_and_examples(self, spec, chunk):
+        examples = os.path.join(os.path.dirname(__file__), "..", "examples")
+        psi, obs, k = (paper_problem() if spec is None else load_problem(os.path.join(examples, spec))).build()
+        info = mutual_information_cq if psi.side_dim == 1 else conditional_mutual_information_cq
+        assert self._sweep_samples_are_their_povms_values(psi, obs, k, info) == chunk
 
 
 class TestLowerEnvelope:

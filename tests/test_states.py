@@ -1,4 +1,5 @@
 import dataclasses
+import math
 
 import numpy as np
 import pytest
@@ -26,7 +27,7 @@ from qcrd import (
     tensor,
     trace_distance,
 )
-from qcrd.states import _stacked_matmul, conditional_blocks, povm_effects_from_ginibre
+from qcrd.states import _stacked_matmul, _unit_phasors, conditional_blocks, povm_effects_from_ginibre
 
 COS, SIN = np.cos(np.pi / 8), np.sin(np.pi / 8)
 PHI0 = np.array([COS, SIN])
@@ -472,6 +473,40 @@ class TestSampleRandomPovm:
     def test_outcome_count_validated(self):
         with pytest.raises(ValueError):
             sample_random_povm(2, 0, 1)
+
+
+class TestQuarterTurnPhases:
+    """e^{2 pi i k 2^-53} of the sweep's 53-bit phase words, reduced exactly to
+    the nearest quarter turn before cos and sin."""
+
+    #: both sides of every octant edge, and the last word, whose nearest quarter turn is q = 4
+    EDGES = [0, 1, 2**50 - 1, 2**50, 2**51 - 1, 2**51 + 1, 3 * 2**50, 2**52, 3 * 2**51, 2**53 - 1]
+
+    @staticmethod
+    def _phasors(words):
+        out = np.empty(len(words), dtype=complex)
+        _unit_phasors(np.array(words, dtype=np.uint64), out)
+        return out
+
+    def test_match_cos_and_sin_of_the_whole_turn(self):
+        words = self.EDGES + np.random.default_rng(29).integers(0, 2**53, 10**5).tolist()
+        z = self._phasors(words)
+        theta = [2 * math.pi * (k * 2.0**-53) for k in words]
+        assert np.abs(z.real - [math.cos(t) for t in theta]).max() <= 1e-15
+        assert np.abs(z.imag - [math.sin(t) for t in theta]).max() <= 1e-15
+        assert np.abs(z.real**2 + z.imag**2 - 1.0).max() <= 4e-16
+
+    def test_last_word_turns_by_one(self):
+        # q = 4 rotates by i^4 = 1, leaving cos and sin of -2 pi 2^-53
+        z = self._phasors([2**53 - 1])[0]
+        assert z.real == 1.0 and z.imag == -2 * math.pi * 2.0**-53
+
+    def test_words_in_place(self):
+        # the sweep's layout: the phase words are the imaginary part's memory
+        words = np.array([[0, w] for w in self.EDGES], dtype=np.uint64)
+        z = words.view(complex)[:, 0]
+        _unit_phasors(words[:, 1], z)
+        assert np.array_equal(z, self._phasors(self.EDGES))
 
 
 class TestStackedMatmul:
